@@ -153,7 +153,7 @@ main(int argc, char **argv)
 
     std::vector<CodesignOutcome> outcomes;
     bool first = true;
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    for (const int threads : {1, 2, 4, 8}) {
         engine::SweepEngine engine{
             engine::EngineOptions{.threads = threads}};
         const CodesignDriver driver{engine, model};
@@ -171,7 +171,7 @@ main(int argc, char **argv)
         const double seconds = now_seconds_since(start);
         const double configs_per_second =
             static_cast<double>(configs) / seconds;
-        std::printf("search @%u thr    %8.3f s   %7.1f configs/s "
+        std::printf("search @%d thr    %8.3f s   %7.1f configs/s "
                     "(%zu configs, %zu grid points)\n",
                     threads, seconds, configs_per_second, configs,
                     grid_points);

@@ -183,7 +183,7 @@ SweepEngine::bestConfiguration(const SizeClassSpec &spec,
         cells.push_back(c);
     // The batched scan: expand the class grid once, solve it as one
     // point batch (no feasible/frontier bookkeeping — the Pareto
-    // pass run() would do is O(n^2) pure overhead here), and take
+    // pass run() would do is pure overhead here), and take
     // the max-flight-time index.  Cells ascending with capacity
     // innermost is exactly the serial search's order, so "strictly
     // greater flight time wins" breaks ties identically.

@@ -163,10 +163,9 @@ AdmissionController::closeWindow()
 }
 
 AdmitDecision
-AdmissionController::submit(QueuedItem item, double t)
+AdmissionController::decide(QueryClass cls, double t)
 {
     obs::MetricsRegistry &registry = obs::metrics();
-    util::MutexLock lock(mutex_);
     advanceState(t);
 
     AdmitDecision decision = AdmitDecision::Admit;
@@ -175,18 +174,17 @@ AdmissionController::submit(QueuedItem item, double t)
         ++stats_.shedAll;
         registry.counter("serve.admission.shed_all").add(1);
     } else if (state_ == ShedState::ShedLowPriority &&
-               item.request.cls == QueryClass::Batch) {
+               cls == QueryClass::Batch) {
         decision = AdmitDecision::ShedClass;
         ++stats_.shedClass;
         registry.counter("serve.admission.shed_class").add(1);
     } else {
-        Bucket &bucket = item.request.cls == QueryClass::Interactive
+        Bucket &bucket = cls == QueryClass::Interactive
                              ? interactiveBucket_
                              : batchBucket_;
         const TokenBucketConfig &bucket_config =
-            item.request.cls == QueryClass::Interactive
-                ? config_.interactive
-                : config_.batch;
+            cls == QueryClass::Interactive ? config_.interactive
+                                           : config_.batch;
         if (!takeToken(bucket, bucket_config, t)) {
             decision = AdmitDecision::RateLimited;
             ++stats_.rateLimited;
@@ -197,28 +195,16 @@ AdmissionController::submit(QueuedItem item, double t)
             registry.counter("serve.admission.queue_full").add(1);
         }
     }
-    if (decision != AdmitDecision::Admit)
-        return decision;
-
-    item.enqueueT = t;
-    queue_.push_back(std::move(item));
-    ++stats_.admitted;
-    registry.counter("serve.admission.admitted").add(1);
-    registry.gauge("serve.queue.depth")
-        .set(static_cast<double>(queue_.size()));
-    return AdmitDecision::Admit;
+    if (decision == AdmitDecision::Admit) {
+        ++stats_.admitted;
+        registry.counter("serve.admission.admitted").add(1);
+    }
+    return decision;
 }
 
-bool
-AdmissionController::pop(double t, QueuedItem &out)
+void
+AdmissionController::recordDequeue(double wait, double t)
 {
-    util::MutexLock lock(mutex_);
-    if (queue_.empty())
-        return false;
-    out = std::move(queue_.front());
-    queue_.pop_front();
-
-    const double wait = std::max(0.0, t - out.enqueueT);
     waitHist_.record(wait);
     obs::metrics()
         .histogram("serve.queue.wait_seconds", config_.waitBounds)
@@ -234,6 +220,42 @@ AdmissionController::pop(double t, QueuedItem &out)
         closeWindow();
         advanceState(t);
     }
+}
+
+AdmitDecision
+AdmissionController::submit(QueuedItem item, double t)
+{
+    util::MutexLock lock(mutex_);
+    const AdmitDecision decision = decide(item.request.cls, t);
+    if (decision != AdmitDecision::Admit)
+        return decision;
+
+    item.enqueueT = t;
+    queue_.push_back(std::move(item));
+    obs::metrics().gauge("serve.queue.depth")
+        .set(static_cast<double>(queue_.size()));
+    return AdmitDecision::Admit;
+}
+
+AdmitDecision
+AdmissionController::admitNow(QueryClass cls, double t)
+{
+    util::MutexLock lock(mutex_);
+    const AdmitDecision decision = decide(cls, t);
+    if (decision == AdmitDecision::Admit)
+        recordDequeue(0.0, t);
+    return decision;
+}
+
+bool
+AdmissionController::pop(double t, QueuedItem &out)
+{
+    util::MutexLock lock(mutex_);
+    if (queue_.empty())
+        return false;
+    out = std::move(queue_.front());
+    queue_.pop_front();
+    recordDequeue(std::max(0.0, t - out.enqueueT), t);
     return true;
 }
 

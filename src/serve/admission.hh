@@ -163,6 +163,16 @@ class AdmissionController
         DDSE_EXCLUDES(mutex_);
 
     /**
+     * Admit a request the caller executes itself, at time `t`.  The
+     * decision and counters are exactly `submit`'s (a full queue
+     * still sheds), but an admitted request is never queued: it is
+     * recorded as dequeued at once, with zero wait, so no other
+     * caller's `pop` can take it.
+     */
+    AdmitDecision admitNow(QueryClass cls, double t)
+        DDSE_EXCLUDES(mutex_);
+
+    /**
      * Pop the oldest queued item at time `t`.  Records the item's
      * queue wait into the histogram (driving the shed machine) and
      * returns false when the queue is empty.
@@ -191,6 +201,11 @@ class AdmissionController
         bool started = false;
     };
 
+    /** The admission decision at time t, with its counters. */
+    AdmitDecision decide(QueryClass cls, double t)
+        DDSE_REQUIRES(mutex_);
+    /** Record one dequeue's wait and advance the shed machine. */
+    void recordDequeue(double wait, double t) DDSE_REQUIRES(mutex_);
     /** Refill at time t, then try to take one token. */
     bool takeToken(Bucket &bucket, const TokenBucketConfig &config,
                    double t) DDSE_REQUIRES(mutex_);

@@ -2,7 +2,6 @@
 
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
-#include "util/logging.hh"
 
 namespace dronedse::serve {
 
@@ -35,18 +34,14 @@ Service::handleFrame(const std::string &frame, double t)
         return serializeErrorReply(request.id, err);
     }
 
-    const AdmitDecision decision =
-        admission_.submit(QueuedItem{0, request, t}, t);
+    // Synchronous path: this caller is also the worker, so it runs
+    // its own request and the queue wait it reports is zero.
+    const AdmitDecision decision = admission_.admitNow(request.cls, t);
     if (decision != AdmitDecision::Admit) {
         registry.counter("serve.replies.error").add(1);
         return serializeErrorReply(request.id, admitError(decision));
     }
-    // Synchronous path: this caller is also the worker, so the
-    // queue wait it reports is zero by construction.
-    QueuedItem item;
-    if (!admission_.pop(t, item))
-        panic("Service::handleFrame: admitted item vanished");
-    const std::string reply = planner_.execute(item.request);
+    const std::string reply = planner_.execute(request);
     registry.counter("serve.replies.ok").add(1);
     return reply;
 }

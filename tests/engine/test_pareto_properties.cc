@@ -5,36 +5,32 @@
  * frontier is invariant under input permutation, and the frontier is
  * a fixed point of itself.  Clouds mix clustered and spread points
  * plus duplicates and infeasibles so ties and boundaries get hit.
+ * Two cases compare against the oracle at real sizes: a tie-heavy
+ * cloud of thousands of points and a solved Figure 10 class grid.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <numeric>
 #include <set>
 #include <vector>
 
+#include "components/compute_board.hh"
+#include "dse/sweep.hh"
 #include "engine/pareto.hh"
+#include "pareto_test_util.hh"
 #include "util/rng.hh"
 
 namespace dronedse {
 namespace {
 
-using engine::dominates;
 using engine::paretoFrontier;
-
-DesignResult
-point(double flight_min, double compute_w, double weight_g,
-      bool feasible = true)
-{
-    DesignResult res;
-    res.feasible = feasible;
-    res.flightTimeMin = Quantity<Minutes>(flight_min);
-    res.computePowerW = Quantity<Watts>(compute_w);
-    res.totalWeightG = Quantity<Grams>(weight_g);
-    return res;
-}
+using pareto_test::oracleFrontier;
+using pareto_test::point;
+using namespace unit_literals;
 
 /**
  * A random cloud exercising the frontier's edge cases: coarse grids
@@ -64,24 +60,6 @@ randomCloud(Rng &rng, std::size_t n)
             point(flight, power, weight, !rng.bernoulli(0.15)));
     }
     return cloud;
-}
-
-/** Brute-force oracle: i is on the frontier iff it is feasible and
- * nothing in the cloud dominates it. */
-std::vector<std::size_t>
-oracleFrontier(const std::vector<DesignResult> &cloud)
-{
-    std::vector<std::size_t> frontier;
-    for (std::size_t i = 0; i < cloud.size(); ++i) {
-        if (!cloud[i].feasible)
-            continue;
-        bool dominated = false;
-        for (std::size_t j = 0; j < cloud.size() && !dominated; ++j)
-            dominated = j != i && dominates(cloud[j], cloud[i]);
-        if (!dominated)
-            frontier.push_back(i);
-    }
-    return frontier;
 }
 
 /** The frontier as a multiset of coordinate triples, so frontiers of
@@ -165,6 +143,49 @@ TEST(ParetoProperties, FrontierIndicesAreSortedUniqueAndFeasible)
             EXPECT_TRUE(cloud[idx].feasible);
         }
     }
+}
+
+TEST(ParetoProperties, LargeTieHeavyCloudMatchesOracle)
+{
+    // ~39 distinct powers give the staircase deep tree paths; the
+    // cloud's copies put duplicated triples on the frontier.
+    Rng rng(401);
+    const auto cloud = randomCloud(rng, 6000);
+    const auto frontier = paretoFrontier(cloud);
+    EXPECT_EQ(frontier, oracleFrontier(cloud));
+    const auto kept = frontierPoints(cloud, frontier);
+    EXPECT_LT(std::set(kept.begin(), kept.end()).size(), kept.size());
+
+    // Snapped to 6 x 5 x 5 cells, the same cloud walks runs of
+    // dozens of equal triples.
+    auto coarse = cloud;
+    for (DesignResult &p : coarse) {
+        p.flightTimeMin = Quantity<Minutes>(
+            std::floor((p.flightTimeMin.value() - 5.0) / 6.0));
+        p.computePowerW = Quantity<Watts>(
+            std::floor((p.computePowerW.value() - 1.0) / 4.0));
+        p.totalWeightG = Quantity<Grams>(
+            std::floor((p.totalWeightG.value() - 200.0) / 400.0));
+    }
+    const auto coarse_frontier = paretoFrontier(coarse);
+    EXPECT_EQ(coarse_frontier, oracleFrontier(coarse));
+    const auto coarse_kept = frontierPoints(coarse, coarse_frontier);
+    EXPECT_GE(coarse_kept.size(),
+              10 * std::set(coarse_kept.begin(), coarse_kept.end()).size());
+}
+
+TEST(ParetoProperties, Figure10ClassGridMatchesOracle)
+{
+    SweepSpec spec = classSweepSpec(classSpec(SizeClass::Medium),
+                                    {1, 2, 3, 4, 5, 6}, 100.0_mah,
+                                    basicChip3W());
+    spec.boards = {advancedChip20W(), basicChip3W()};
+    spec.activities = {FlightActivity::Hovering,
+                       FlightActivity::Maneuvering};
+    const std::vector<DesignResult> solved = runSweepSerial(spec);
+    const auto frontier = paretoFrontier(solved);
+    EXPECT_EQ(frontier, oracleFrontier(solved));
+    EXPECT_GT(frontier.size(), 1u);
 }
 
 } // namespace

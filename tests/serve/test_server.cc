@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "dse/sweep.hh"
 #include "dse/weight_closure.hh"
 #include "engine/pareto.hh"
+#include "obs/metrics.hh"
 #include "serve/transport.hh"
 #include "util/json.hh"
 
@@ -106,6 +108,90 @@ TEST(ServeTransport, RejectionsCompleteImmediately)
     EXPECT_NE(transport.exchanges()[0].reply.find("\"parse_error\""),
               std::string::npos);
     EXPECT_EQ(service.admission().depth(), 0u);
+}
+
+TEST(ServeService, ConcurrentHandleFrameAnswersEachCallerItsOwn)
+{
+    // Two callers share one Service through the synchronous path,
+    // each in a tight loop, so their requests are often in flight
+    // together.  Each must get the reply to its own frame.
+    ServiceOptions options;
+    options.engine.threads = 1;
+    options.admission.interactive = {1e12, 1e12};
+    Service service{options};
+    obs::Histogram &waits = obs::metrics().histogram(
+        "serve.queue.wait_seconds", options.admission.waitBounds);
+    const std::uint64_t waits_before = waits.count();
+
+    constexpr std::size_t kCallers = 2;
+    constexpr std::size_t kRounds = 10000;
+    constexpr std::size_t kPoints = 8;
+    std::vector<Request> points;
+    std::vector<DesignResult> solved;
+    for (std::size_t k = 0; k < kPoints; ++k) {
+        points.push_back(
+            designRequest(0, 2000.0 + 250.0 * static_cast<double>(k)));
+        solved.push_back(solveDesign(points.back().point));
+    }
+    std::vector<std::vector<std::string>> frames(kCallers);
+    std::vector<std::vector<std::string>> expected(kCallers);
+    for (std::size_t c = 0; c < kCallers; ++c) {
+        for (std::size_t i = 0; i < kRounds; ++i) {
+            const std::size_t k = (i + c) % kPoints;
+            Request request = points[k];
+            request.id = (c + 1) * 1000000 + i;
+            frames[c].push_back(serializeRequest(request));
+            expected[c].push_back(
+                serializeDesignReply(request.id, solved[k]));
+        }
+    }
+
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::size_t> wrong(kCallers, 0);
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            // Start together, so the loops overlap from the first call.
+            ready.fetch_add(1);
+            while (ready.load() < kCallers)
+                std::this_thread::yield();
+            for (std::size_t i = 0; i < kRounds; ++i) {
+                if (service.handleFrame(frames[c][i], 0.0) !=
+                    expected[c][i])
+                    ++wrong[c];
+            }
+        });
+    }
+    for (std::thread &caller : callers)
+        caller.join();
+
+    for (std::size_t c = 0; c < kCallers; ++c)
+        EXPECT_EQ(wrong[c], 0u) << "caller " << c;
+    // Every request was admitted and recorded as a zero-wait dequeue.
+    EXPECT_EQ(service.admission().stats().admitted, kCallers * kRounds);
+    EXPECT_EQ(service.planner().stats().executed, kCallers * kRounds);
+    EXPECT_EQ(waits.count() - waits_before, kCallers * kRounds);
+    EXPECT_EQ(service.admission().depth(), 0u);
+}
+
+TEST(ServeService, HandleFrameLeavesQueuedWorkQueued)
+{
+    // A transport's queued request and a synchronous caller share
+    // one admission queue; the synchronous reply is the caller's own
+    // and the queued request still reaches its worker.
+    Service service{ServiceOptions{}};
+    const Request queued = designRequest(1, 2500.0);
+    const Request direct = designRequest(2, 3500.0);
+    ASSERT_TRUE(service.ingest(serializeRequest(queued), 7, 0.0).queued);
+
+    EXPECT_EQ(service.handleFrame(serializeRequest(direct), 0.0),
+              serializeDesignReply(direct.id, solveDesign(direct.point)));
+    ASSERT_EQ(service.admission().depth(), 1u);
+    const auto worker = service.processOne(0.0);
+    ASSERT_TRUE(worker.has_value());
+    EXPECT_EQ(worker->first, 7u);
+    EXPECT_EQ(worker->second,
+              serializeDesignReply(queued.id, solveDesign(queued.point)));
 }
 
 // The ISSUE 5 acceptance test: under 2x overload the admission
