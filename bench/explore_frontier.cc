@@ -65,7 +65,7 @@ keyOf(const DesignResult &res)
 {
     return {res.inputs.wheelbaseMm.value(), res.inputs.cells,
             res.inputs.capacityMah.value(), res.inputs.twr,
-            res.inputs.compute.name,
+            res.inputs.compute.name.str(),
             static_cast<int>(res.inputs.activity),
             res.inputs.payloadG.value()};
 }

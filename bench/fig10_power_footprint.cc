@@ -31,7 +31,7 @@ namespace {
 
 /** Feasible results of one (board, activity, cells) sub-series. */
 std::vector<DesignResult>
-subSeries(const engine::SweepResult &swept, const std::string &board,
+subSeries(const engine::SweepResult &swept, const BoardName &board,
           FlightActivity activity, int cells)
 {
     std::vector<DesignResult> out;

@@ -9,8 +9,9 @@
  *
  * Emits machine-readable results — points/s, cache hit rates,
  * speedups, a serial-vs-engine CSV identity check, and the span
- * tracer's overhead on the sweep (runtime-enabled vs disabled;
- * budget <3%) — as `BENCH_sweep.json`.
+ * tracer's overhead on cold sweeps of the 34,080-point 450 mm
+ * reference grid (runtime-enabled vs disabled; budget <3%) — as
+ * `BENCH_sweep.json`.
  *
  * Usage: sweep_throughput [out.json] [--cold]
  *
@@ -56,6 +57,37 @@ fig10Grids()
         specs.push_back(std::move(spec));
     }
     return specs;
+}
+
+/**
+ * The 450 mm reference grid (`explore::referenceSpace450` at 100 mAh):
+ * every board, both activities, cells 1-6, the Medium class capacity
+ * range, at TWR 1.5, 2.0, 2.5 and 3.0 — 34,080 points.
+ */
+std::vector<SweepSpec>
+referenceGrids()
+{
+    const SizeClassSpec &medium = classSpec(SizeClass::Medium);
+    std::vector<SweepSpec> specs;
+    for (const double twr : {1.5, 2.0, 2.5, 3.0}) {
+        SweepSpec spec = classSweepSpec(medium, {1, 2, 3, 4, 5, 6},
+                                        100.0_mah, basicChip3W(),
+                                        FlightActivity::Hovering, twr);
+        spec.boards = computeBoardTable();
+        spec.activities = {FlightActivity::Hovering,
+                           FlightActivity::Maneuvering};
+        specs.push_back(std::move(spec));
+    }
+    return specs;
+}
+
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t n = values.size();
+    return n % 2 == 1 ? values[n / 2]
+                      : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 double
@@ -311,48 +343,63 @@ main(int argc, char **argv)
     }
     json += "]}";
 
-    // Tracer overhead on the Fig 10 sweep: cold passes on a fresh
-    // engine (so every point is a real solve), best-of-N to shave
-    // scheduler noise, tracer runtime-off vs runtime-on.  The
-    // compiled-out configuration (-DDRONEDSE_TRACING=OFF) is proven
-    // by the CI `obs` job; a single binary can only compare runtime
-    // states.
-    constexpr int kOverheadReps = 5;
+    // Tracer overhead: cold sweeps of the 34,080-point reference grid
+    // (three per rep, each on a fresh engine so every point is a real
+    // solve), tracer runtime-off and runtime-on reps interleaved so
+    // slow and fast periods of the host hit both sides.  The overhead
+    // is the median of the per-pair on/off ratios; each side's median
+    // wall time is reported too.  The Fig 10 grids above are too
+    // small (a few ms) for a 3% budget to sit above the noise.  The compiled-out configuration
+    // (-DDRONEDSE_TRACING=OFF) is proven by the CI `obs` job; a
+    // single binary can only compare runtime states.
+    constexpr int kOverheadReps = 15;
+    constexpr int kSweepsPerRep = 3;
     constexpr int kOverheadThreads = 4;
-    const auto cold_sweep_seconds = [&specs] {
-        engine::SweepEngine eng{
-            engine::EngineOptions{.threads = kOverheadThreads}};
+    const std::vector<SweepSpec> reference = referenceGrids();
+    std::size_t reference_points = 0;
+    for (const auto &spec : reference)
+        reference_points += spec.pointCount();
+    const auto cold_sweep_seconds = [&reference] {
         const auto start = std::chrono::steady_clock::now();
-        for (const auto &spec : specs)
-            eng.run(spec);
+        for (int sweep = 0; sweep < kSweepsPerRep; ++sweep) {
+            engine::SweepEngine eng{
+                engine::EngineOptions{.threads = kOverheadThreads}};
+            for (const auto &spec : reference)
+                eng.run(spec);
+        }
         return now_seconds_since(start);
     };
-    double off_seconds = 1e300, on_seconds = 1e300;
+    std::vector<double> off_reps, on_reps, ratios;
     std::size_t spans_recorded = 0;
-    obs::tracer().setEnabled(false);
-    for (int rep = 0; rep < kOverheadReps; ++rep)
-        off_seconds = std::min(off_seconds, cold_sweep_seconds());
-    obs::tracer().setEnabled(true);
     for (int rep = 0; rep < kOverheadReps; ++rep) {
+        obs::tracer().setEnabled(false);
+        off_reps.push_back(cold_sweep_seconds());
+        obs::tracer().setEnabled(true);
         obs::tracer().clear();
-        on_seconds = std::min(on_seconds, cold_sweep_seconds());
+        on_reps.push_back(cold_sweep_seconds());
         spans_recorded = obs::tracer().snapshot().size();
+        ratios.push_back(on_reps.back() / off_reps.back());
     }
     obs::tracer().setEnabled(false);
     obs::tracer().clear();
-    const double overhead_pct =
-        off_seconds > 0.0
-            ? 100.0 * (on_seconds - off_seconds) / off_seconds
-            : 0.0;
+    const double off_seconds = median(off_reps);
+    const double on_seconds = median(on_reps);
+    const double overhead_pct = 100.0 * (median(ratios) - 1.0);
     const bool compiled_in = DRONEDSE_TRACING != 0;
-    std::printf("\ntracer overhead (%d thr, best of %d): off %.3f s, "
-                "on %.3f s -> %+.2f%% (%zu spans, budget <3%%)\n",
-                kOverheadThreads, kOverheadReps, off_seconds,
-                on_seconds, overhead_pct, spans_recorded);
+    std::printf("\ntracer overhead (%zu-point reference grid x %d, %d "
+                "thr, %d interleaved pairs): median off %.3f s, on "
+                "%.3f s; median pair ratio -> %+.2f%% (%zu spans, "
+                "budget <3%%)\n",
+                reference_points, kSweepsPerRep, kOverheadThreads,
+                kOverheadReps, off_seconds, on_seconds, overhead_pct,
+                spans_recorded);
 
     json += ", \"tracing\": {\"compiled_in\": ";
     json += compiled_in ? "true" : "false";
+    json += ", \"grid_points\": " + std::to_string(reference_points);
     json += ", \"threads\": " + std::to_string(kOverheadThreads);
+    json += ", \"sweeps_per_rep\": " + std::to_string(kSweepsPerRep);
+    json += ", \"reps\": " + std::to_string(kOverheadReps);
     json += ", \"disabled_wall_seconds\": " + num(off_seconds);
     json += ", \"enabled_wall_seconds\": " + num(on_seconds);
     json += ", \"overhead_pct\": " + num(overhead_pct);

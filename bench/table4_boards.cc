@@ -19,7 +19,7 @@ main()
 
     Table boards({"name", "class", "weight (g)", "power (W)"});
     for (const auto &rec : computeBoardTable()) {
-        boards.addRow({rec.name,
+        boards.addRow({rec.name.str(),
                        rec.boardClass == BoardClass::Basic ? "basic"
                                                            : "improved",
                        fmt(rec.weightG, 1), fmt(rec.powerW, 2)});

@@ -113,7 +113,7 @@ main(int argc, char **argv)
         t.addRow({fmt(p.inputs.wheelbaseMm.value(), 0) + "mm " +
                       std::to_string(p.inputs.cells) + "S " +
                       fmt(p.inputs.capacityMah.value(), 0) + "mAh",
-                  p.inputs.compute.name,
+                  p.inputs.compute.name.str(),
                   fmt(p.inputs.compute.powerW, 1),
                   fmt(p.totalWeightG.value(), 0),
                   fmt(p.flightTimeMin.value(), 1)});

@@ -128,7 +128,7 @@ main(int argc, char **argv)
                 "W\n\n",
                 best.inputs.wheelbaseMm.value(), best.inputs.cells,
                 best.inputs.capacityMah.value(), best.inputs.twr,
-                best.inputs.compute.name.c_str(),
+                best.inputs.compute.name.str().c_str(),
                 best.flightTimeMin.value(),
                 best.totalWeightG.value(), best.avgPowerW.value());
 

@@ -271,7 +271,8 @@ searchConfigs(engine::SweepEngine &eng, const MissionSpec &mission,
     spec.boards.reserve(configs.size());
     for (const ComputeConfig &cfg : configs) {
         spec.boards.push_back(
-            ComputeBoardRecord{cfg.boardName, BoardClass::Improved,
+            ComputeBoardRecord{BoardName(cfg.boardName),
+                               BoardClass::Improved,
                                cfg.computeWeightG.value(),
                                cfg.computePowerW.value()});
     }

@@ -4,6 +4,15 @@
 
 namespace dronedse {
 
+BoardName::BoardName(std::string_view text)
+{
+    if (!fits(text))
+        fatal("BoardName: '" + std::string(text) + "' exceeds " +
+              std::to_string(kCapacity) + " bytes");
+    std::copy(text.begin(), text.end(), bytes_);
+    size_ = static_cast<unsigned char>(text.size());
+}
+
 const std::vector<ComputeBoardRecord> &
 computeBoardTable()
 {
@@ -27,7 +36,7 @@ const ComputeBoardRecord &
 findComputeBoard(const std::string &name)
 {
     for (const auto &rec : computeBoardTable()) {
-        if (rec.name == name)
+        if (rec.name.view() == name)
             return rec;
     }
     fatal("findComputeBoard: unknown board '" + name + "'");

@@ -12,7 +12,10 @@
 #ifndef DRONEDSE_COMPONENTS_COMPUTE_BOARD_HH
 #define DRONEDSE_COMPONENTS_COMPUTE_BOARD_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dronedse {
@@ -26,10 +29,54 @@ enum class BoardClass
     Improved,
 };
 
+/**
+ * A board name stored inline: at most `kCapacity` bytes, no heap, so
+ * every record that carries one (and every design result that echoes
+ * it) stays trivially copyable.  String literals convert implicitly
+ * and are length-checked at compile time; runtime text must go
+ * through the explicit constructor, after `fits()` — request parsing
+ * rejects a longer name with a typed error before it gets here.
+ */
+class BoardName
+{
+  public:
+    static constexpr std::size_t kCapacity = 63;
+
+    constexpr BoardName() = default;
+
+    template <std::size_t N>
+    constexpr BoardName(const char (&literal)[N]) // NOLINT: implicit
+        : size_(static_cast<unsigned char>(N - 1))
+    {
+        static_assert(N - 1 <= kCapacity, "board name too long");
+        std::copy_n(literal, N - 1, bytes_);
+    }
+
+    /** Runtime text; fatal() if it does not `fits()`. */
+    explicit BoardName(std::string_view text);
+
+    static constexpr bool fits(std::string_view text)
+    {
+        return text.size() <= kCapacity;
+    }
+
+    std::string_view view() const { return {bytes_, size_}; }
+    std::string str() const { return std::string(view()); }
+
+    bool operator==(const BoardName &other) const
+    {
+        return view() == other.view();
+    }
+
+  private:
+    char bytes_[kCapacity] = {};
+    unsigned char size_ = 0;
+};
+
 /** One flight controller or companion computer. */
 struct ComputeBoardRecord
 {
-    std::string name;
+    BoardName name;
     BoardClass boardClass = BoardClass::Basic;
     /** Board weight (g). */
     double weightG = 0.0;

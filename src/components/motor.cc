@@ -6,6 +6,13 @@
 
 namespace dronedse {
 
+std::string
+MotorName::str() const
+{
+    return "BLDC-" + std::to_string(kv) + "Kv-" + std::to_string(propIn) +
+           "in";
+}
+
 Quantity<Grams>
 motorWeightG(Quantity<GramsForce> max_thrust)
 {
@@ -32,9 +39,8 @@ matchMotor(Quantity<GramsForce> required_thrust,
         motorCurrentA(required_thrust, prop_diameter, supply_voltage)
             .value();
     rec.weightG = motorWeightG(required_thrust).value();
-    rec.name = "BLDC-" + std::to_string(static_cast<int>(rec.kv)) + "Kv-" +
-               std::to_string(static_cast<int>(prop_diameter.value())) +
-               "in";
+    rec.name = {static_cast<int>(rec.kv),
+                static_cast<int>(prop_diameter.value())};
     return rec;
 }
 

@@ -21,12 +21,28 @@
 namespace dronedse {
 
 /**
+ * Name of a matched motor, kept as the two integers it is made of —
+ * the Kv and the prop diameter (inches), truncated when the motor is
+ * matched — so a record stays trivially copyable.  `str()` renders
+ * the catalog text ("BLDC-815Kv-10in") where text is needed.
+ */
+struct MotorName
+{
+    int kv = 0;
+    int propIn = 0;
+
+    std::string str() const;
+
+    bool operator==(const MotorName &) const = default;
+};
+
+/**
  * One BLDC motor model.  Data fields stay raw doubles (catalog
  * boundary); typed accessors cover the quantities the solver uses.
  */
 struct MotorRecord
 {
-    std::string name;
+    MotorName name;
     /** Kv rating: no-load RPM per volt. */
     double kv = 0.0;
     /** Motor weight (g). */

@@ -18,12 +18,14 @@ DesignReport::str() const
            " mm wheelbase, " + std::to_string(result.inputs.cells) +
            "S " + fmt(result.inputs.capacityMah.value(), 0) + " mAh\n";
     if (!result.feasible) {
-        out += "  INFEASIBLE: " + result.infeasibleReason + "\n";
+        out += "  INFEASIBLE: ";
+        out += infeasibilityText(result.infeasibleReason);
+        out += "\n";
         return out;
     }
     out += "  all-up weight:    " + fmt(result.totalWeightG.value(), 0) +
            " g\n";
-    out += "  motor:            " + result.motor.name + " (" +
+    out += "  motor:            " + result.motor.name.str() + " (" +
            fmt(result.motorMaxCurrentA.value(), 1) + " A max)\n";
     out += "  avg power:        " + fmt(result.avgPowerW.value(), 1) +
            " W\n";

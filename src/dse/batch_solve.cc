@@ -3,7 +3,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <string>
 
 #include "components/battery.hh"
 #include "components/esc.hh"
@@ -80,7 +79,7 @@ padLane(BlockState &st, std::size_t l)
  * Scalar prologue of one lane: validation and the thrust-independent
  * weights, via the same component models `solveDesign` calls.
  * Returns false when the lane is finished before iterating (invalid
- * inputs — result already carries the scalar path's reason string).
+ * inputs — result already carries the scalar path's reason).
  */
 bool
 setupLane(const DesignInputs &in, DesignResult &res, BlockState &st,
@@ -90,12 +89,12 @@ setupLane(const DesignInputs &in, DesignResult &res, BlockState &st,
     res.inputs = in;
 
     if (in.cells < kMinCells || in.cells > kMaxCells) {
-        res.infeasibleReason = "cell count out of range";
+        res.infeasibleReason = Infeasibility::CellCount;
         return false;
     }
     if (in.capacityMah.value() <= 0.0 || in.twr < 1.0 ||
         in.wheelbaseMm.value() <= 0.0) {
-        res.infeasibleReason = "invalid capacity, TWR, or wheelbase";
+        res.infeasibleReason = Infeasibility::InvalidInputs;
         return false;
     }
 
@@ -143,16 +142,15 @@ setupLane(const DesignInputs &in, DesignResult &res, BlockState &st,
 /**
  * Scalar epilogue of one converged lane: Equations 3-6 and the
  * C-rating sanity check, written with the same typed expressions —
- * in the same order — as `solveDesign`.  The motor record (and its
- * name string) is built here, once, from the lane's final kernel
- * values.
+ * in the same order — as `solveDesign`.  The motor record is built
+ * here, once, from the lane's final kernel values.
  */
 void
 finishLane(const DesignInputs &in, DesignResult &res,
            const BlockState &st, std::size_t l)
 {
     if (!st.converged[l]) {
-        res.infeasibleReason = "weight closure diverged";
+        res.infeasibleReason = Infeasibility::Diverged;
         return;
     }
 
@@ -167,9 +165,8 @@ finishLane(const DesignInputs &in, DesignResult &res,
     motor.kv = st.lastKv[l];
     motor.maxCurrentA = st.lastCurrent[l];
     motor.weightG = st.lastMotorW[l];
-    motor.name = "BLDC-" + std::to_string(static_cast<int>(motor.kv)) +
-                 "Kv-" +
-                 std::to_string(static_cast<int>(prop.value())) + "in";
+    motor.name = {static_cast<int>(motor.kv),
+                  static_cast<int>(prop.value())};
 
     const Quantity<Grams> total{st.total[l]};
     const Quantity<Grams> esc_w{st.lastEscW[l]};
@@ -200,7 +197,7 @@ finishLane(const DesignInputs &in, DesignResult &res,
     const Quantity<Amperes> pack_limit =
         (in.capacityMah * 80.0 / Quantity<Hours>(1.0)).to<Amperes>();
     if (pack_limit < max_current_needed) {
-        res.infeasibleReason = "battery C-rating cannot supply max draw";
+        res.infeasibleReason = Infeasibility::CRating;
         return;
     }
 
@@ -278,7 +275,7 @@ solveBlock(std::span<const DesignInputs> inputs,
     // same verdict the scalar loop reaches by falling out of it.
 
     for (std::size_t l = 0; l < inputs.size(); ++l) {
-        if (!results[l].infeasibleReason.empty())
+        if (results[l].infeasibleReason != Infeasibility::None)
             continue; // failed validation in the prologue
         finishLane(inputs[l], results[l], st, l);
     }

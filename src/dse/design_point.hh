@@ -14,7 +14,8 @@
 #ifndef DRONEDSE_DSE_DESIGN_POINT_HH
 #define DRONEDSE_DSE_DESIGN_POINT_HH
 
-#include <string>
+#include <cstdint>
+#include <type_traits>
 
 #include "components/compute_board.hh"
 #include "components/esc.hh"
@@ -23,6 +24,42 @@
 #include "util/quantity.hh"
 
 namespace dronedse {
+
+/** Why a design point has no solution (`None` when it is feasible). */
+enum class Infeasibility : std::uint8_t
+{
+    None,
+    /** Cell count outside the surveyed 1S-6S range. */
+    CellCount,
+    /** Non-positive capacity or wheelbase, or TWR below 1. */
+    InvalidInputs,
+    /** The Equation 1-2 weight fixed point did not converge. */
+    Diverged,
+    /** No pack of this capacity can feed the motors' max draw. */
+    CRating,
+};
+
+/**
+ * The human-readable reason for `reason` — the text served replies
+ * and reports carry ("" for `None`).  The one table of these strings.
+ */
+constexpr const char *
+infeasibilityText(Infeasibility reason)
+{
+    switch (reason) {
+    case Infeasibility::None:
+        return "";
+    case Infeasibility::CellCount:
+        return "cell count out of range";
+    case Infeasibility::InvalidInputs:
+        return "invalid capacity, TWR, or wheelbase";
+    case Infeasibility::Diverged:
+        return "weight closure diverged";
+    case Infeasibility::CRating:
+        return "battery C-rating cannot supply max draw";
+    }
+    return "";
+}
 
 /** Free variables of a design point. */
 struct DesignInputs
@@ -59,13 +96,18 @@ struct DesignInputs
     FlightActivity activity = FlightActivity::Hovering;
 };
 
-/** Resolved quantities of a design point (Equations 1-7). */
+/**
+ * Resolved quantities of a design point (Equations 1-7).  Trivially
+ * copyable — no member owns heap memory — so the memo cache and the
+ * batch kernel move results with plain copies; names and reasons
+ * render to text only at the report/JSON boundary.
+ */
 struct DesignResult
 {
     /** False when the closure failed (e.g. runaway weight). */
     bool feasible = false;
-    /** Human-readable reason when infeasible. */
-    std::string infeasibleReason;
+    /** Why, when infeasible; `infeasibilityText` renders it. */
+    Infeasibility infeasibleReason = Infeasibility::None;
 
     /** Echo of the inputs that produced this result. */
     DesignInputs inputs;
@@ -113,6 +155,9 @@ struct DesignResult
     /** Fraction of total power consumed by compute, Equation 6. */
     double computePowerFraction = 0.0;
 };
+
+static_assert(std::is_trivially_copyable_v<DesignInputs>);
+static_assert(std::is_trivially_copyable_v<DesignResult>);
 
 } // namespace dronedse
 

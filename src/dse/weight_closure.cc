@@ -25,12 +25,12 @@ solveDesign(const DesignInputs &inputs)
     res.inputs = inputs;
 
     if (inputs.cells < kMinCells || inputs.cells > kMaxCells) {
-        res.infeasibleReason = "cell count out of range";
+        res.infeasibleReason = Infeasibility::CellCount;
         return res;
     }
     if (inputs.capacityMah.value() <= 0.0 || inputs.twr < 1.0 ||
         inputs.wheelbaseMm.value() <= 0.0) {
-        res.infeasibleReason = "invalid capacity, TWR, or wheelbase";
+        res.infeasibleReason = Infeasibility::InvalidInputs;
         return res;
     }
 
@@ -72,7 +72,7 @@ solveDesign(const DesignInputs &inputs)
             break;
     }
     if (!converged) {
-        res.infeasibleReason = "weight closure diverged";
+        res.infeasibleReason = Infeasibility::Diverged;
         return res;
     }
 
@@ -111,7 +111,7 @@ solveDesign(const DesignInputs &inputs)
     const Quantity<Amperes> pack_limit =
         (inputs.capacityMah * 80.0 / Quantity<Hours>(1.0)).to<Amperes>();
     if (pack_limit < max_current_needed) {
-        res.infeasibleReason = "battery C-rating cannot supply max draw";
+        res.infeasibleReason = Infeasibility::CRating;
         return res;
     }
 

@@ -1,7 +1,8 @@
 #include "engine/memo_cache.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "dse/batch_solve.hh"
@@ -25,6 +26,26 @@ quantize(double value)
 {
     return static_cast<std::int64_t>(
         std::llround(value * kQuantaPerUnit));
+}
+
+/** The key's cached hash, or a fresh one for a hand-built key. */
+std::size_t
+hashOf(const DesignKey &key)
+{
+    return key.hash != 0 ? key.hash : hashKey(key);
+}
+
+/** Smallest index a shard allocates once its first entry arrives. */
+constexpr std::size_t kMinIndexBuckets = 32;
+
+/** Smallest power of two that is at least `n`. */
+std::size_t
+powerOfTwoAtLeast(std::size_t n)
+{
+    std::size_t p = 1;
+    while (p < n)
+        p *= 2;
+    return p;
 }
 
 } // namespace
@@ -86,7 +107,7 @@ hashKey(const DesignKey &key)
          << 8) ^
         static_cast<std::uint64_t>(
             static_cast<std::uint32_t>(key.activity)));
-    mix(std::hash<std::string>{}(key.boardName));
+    mix(std::hash<std::string_view>{}(key.boardName.view()));
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdull;
     h ^= h >> 33;
@@ -98,71 +119,155 @@ MemoCache::MemoCache(std::size_t capacity)
     if (capacity < kShards)
         capacity = kShards;
     shardCapacity_ = capacity / kShards;
+    // Ring positions are 32-bit with one value reserved as `kEmpty`.
+    if (shardCapacity_ >= kEmpty)
+        fatal("MemoCache: capacity too large");
 }
 
-MemoCache::Shard &
-MemoCache::shardFor(const DesignKey &, std::size_t hash)
+std::size_t
+MemoCache::shardOf(std::size_t hash)
 {
-    // The low bits feed the map's bucket index; pick the shard from
-    // the high bits so the two selections stay independent.
-    return shards_[(hash >> 48) % kShards];
+    // The low bits pick the index bucket; pick the shard from the
+    // high bits so the two selections stay independent.
+    return (hash >> 48) % kShards;
+}
+
+const MemoCache::Slot *
+MemoCache::Shard::find(const DesignKey &key, std::size_t hash)
+{
+    if (index.empty())
+        return nullptr;
+    const std::size_t mask = index.size() - 1;
+    const auto h = static_cast<std::uint32_t>(hash);
+    for (std::size_t b = h & mask;; b = (b + 1) & mask) {
+        const IndexEntry &e = index[b];
+        if (e.pos == kEmpty)
+            return nullptr;
+        if (e.hash != h)
+            continue;
+        if (slot(e.pos).key == key)
+            return &slot(e.pos);
+    }
+}
+
+void
+MemoCache::Shard::growIndex(std::size_t needed, std::size_t capacity)
+{
+    const std::size_t entries = std::min(needed, capacity);
+    if (2 * entries <= index.size())
+        return;
+    const std::vector<IndexEntry> old = std::move(index);
+    index.assign(std::max({powerOfTwoAtLeast(2 * entries), 2 * old.size(),
+                           kMinIndexBuckets}),
+                 IndexEntry{kEmpty, 0});
+    for (const IndexEntry &e : old) {
+        if (e.pos != kEmpty)
+            indexInsert(e.pos, e.hash);
+    }
+}
+
+void
+MemoCache::Shard::insert(const DesignKey &key, std::size_t hash,
+                         const DesignResult &result,
+                         std::size_t capacity)
+{
+    if (find(key, hash))
+        return;
+    std::uint32_t pos = static_cast<std::uint32_t>(head);
+    if (size < capacity) {
+        growIndex(size + 1, capacity);
+        pos = static_cast<std::uint32_t>(size++);
+        const std::size_t block = pos >> kBlockShift;
+        if (block == blocks.size()) {
+            blocks.emplace_back();
+            blocks.back().reserve(std::min(kBlockSlots, capacity - pos));
+        }
+        blocks[block].push_back(Slot{key, result});
+    } else {
+        // Full: the oldest entry, at `head`, gives up its slot (FIFO
+        // eviction).
+        indexErase(pos, static_cast<std::uint32_t>(slot(pos).key.hash));
+        slot(pos) = Slot{key, result};
+        head = (head + 1) % capacity;
+        ++counters.evictions;
+    }
+    slot(pos).key.hash = hash;
+    indexInsert(pos, static_cast<std::uint32_t>(hash));
+}
+
+void
+MemoCache::Shard::indexInsert(std::uint32_t pos, std::uint32_t hash)
+{
+    const std::size_t mask = index.size() - 1;
+    std::size_t b = hash & mask;
+    while (index[b].pos != kEmpty)
+        b = (b + 1) & mask;
+    index[b] = {pos, hash};
+}
+
+void
+MemoCache::Shard::indexErase(std::uint32_t pos, std::uint32_t hash)
+{
+    const std::size_t mask = index.size() - 1;
+    std::size_t hole = hash & mask;
+    while (index[hole].pos != pos)
+        hole = (hole + 1) & mask;
+    // Backward-shift deletion: pull each later entry of the probe
+    // run into the hole unless that would move it before its home
+    // bucket, so every remaining entry stays reachable.
+    for (std::size_t b = (hole + 1) & mask; index[b].pos != kEmpty;
+         b = (b + 1) & mask) {
+        const std::size_t home = index[b].hash & mask;
+        if (((b - home) & mask) >= ((b - hole) & mask)) {
+            index[hole] = index[b];
+            hole = b;
+        }
+    }
+    index[hole] = {kEmpty, 0};
 }
 
 std::optional<DesignResult>
 MemoCache::lookup(const DesignKey &key)
 {
-    const std::size_t hash = DesignKeyHash{}(key);
-    Shard &shard = shardFor(key, hash);
-    util::MutexLock lock(shard.mutex);
-    const auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
-        ++shard.counters.misses;
+    DesignResult out;
+    if (!lookup(key, out))
         return std::nullopt;
-    }
-    ++shard.counters.hits;
-    return it->second;
+    return out;
 }
 
 bool
 MemoCache::lookup(const DesignKey &key, DesignResult &out)
 {
-    const std::size_t hash = DesignKeyHash{}(key);
-    Shard &shard = shardFor(key, hash);
+    const std::size_t hash = hashOf(key);
+    Shard &shard = shards_[shardOf(hash)];
     util::MutexLock lock(shard.mutex);
-    const auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
+    const Slot *slot = shard.find(key, hash);
+    if (!slot) {
         ++shard.counters.misses;
         return false;
     }
     ++shard.counters.hits;
-    out = it->second;
+    out = slot->result;
     return true;
 }
 
 void
 MemoCache::insert(const DesignKey &key, const DesignResult &result)
 {
-    const std::size_t hash = DesignKeyHash{}(key);
-    Shard &shard = shardFor(key, hash);
+    const std::size_t hash = hashOf(key);
+    Shard &shard = shards_[shardOf(hash)];
     util::MutexLock lock(shard.mutex);
-    const auto [it, inserted] = shard.entries.try_emplace(key, result);
-    if (!inserted)
-        return;
-    shard.order.push_back(key);
-    while (shard.entries.size() > shardCapacity_) {
-        shard.entries.erase(shard.order.front());
-        shard.order.pop_front();
-        ++shard.counters.evictions;
-    }
+    shard.insert(key, hash, result, shardCapacity_);
 }
 
 DesignResult
 MemoCache::solve(const DesignInputs &inputs)
 {
     const DesignKey key = quantizeInputs(inputs);
-    if (auto cached = lookup(key))
-        return *std::move(cached);
-    DesignResult result = solveDesign(inputs);
+    DesignResult result;
+    if (lookup(key, result))
+        return result;
+    result = solveDesign(inputs);
     insert(key, result);
     return result;
 }
@@ -173,99 +278,130 @@ MemoCache::solveBatch(std::span<const DesignInputs> inputs,
 {
     if (inputs.size() != results.size())
         fatal("MemoCache::solveBatch: inputs/results size mismatch");
-
-    struct Duplicate
-    {
-        std::size_t index;  // slot to fill
-        std::size_t source; // earlier slot with the same key
-    };
-
-    // Pass 1: look every input up.  A repeat of a key that already
-    // missed in this batch is deferred — solving it again would both
-    // waste the solve and double-count the miss the sequential path
-    // scores only once.  The duplicate map keys on *indices* into
-    // `keys` (each key carries its hash from `quantizeInputs`) so
-    // tracking a miss never copies a DesignKey, and hits land in the
-    // caller's slot directly — no optional round-trip: the cache
-    // wrapper must stay thin enough not to eat the kernel's
-    // raw-compute win.
-    std::vector<DesignKey> keys;
-    keys.reserve(inputs.size());
-    struct IndexHash
-    {
-        const std::vector<DesignKey> *keys;
-        std::size_t operator()(std::size_t i) const
-        {
-            return (*keys)[i].hash;
-        }
-    };
-    struct IndexEq
-    {
-        const std::vector<DesignKey> *keys;
-        bool operator()(std::size_t a, std::size_t b) const
-        {
-            return (*keys)[a] == (*keys)[b];
-        }
-    };
-    std::unordered_map<std::size_t, std::size_t, IndexHash, IndexEq>
-        missed_at(0, IndexHash{&keys}, IndexEq{&keys});
-    std::vector<std::size_t> pending; // unique misses, batch order
-    std::vector<Duplicate> duplicates;
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        keys.push_back(quantizeInputs(inputs[i]));
-        if (const auto it = missed_at.find(i); it != missed_at.end()) {
-            duplicates.push_back({i, it->second});
-            continue;
-        }
-        if (lookup(keys[i], results[i]))
-            continue;
-        missed_at.emplace(i, i);
-        pending.push_back(i);
-    }
-
-    // All-miss, no-duplicate batches — every cold chunk of a real
-    // sweep — skip the gather entirely: the kernel reads and writes
-    // the caller's storage and the results are inserted in place.
-    if (pending.size() == inputs.size()) {
-        solveDesignBatch(inputs, results);
-        for (std::size_t i = 0; i < inputs.size(); ++i)
-            insert(keys[i], results[i]);
+    const std::size_t n = inputs.size();
+    if (n == 0)
         return;
+    if (n >= kEmpty)
+        fatal("MemoCache::solveBatch: batch too large");
+
+    // Pass 1: quantize, then find each key's first occurrence in the
+    // batch through a flat linear-probing table over the precomputed
+    // hashes.  A repeat of an earlier key is not looked up: if that
+    // key misses, solving it twice would both waste the solve and
+    // double-count the miss the sequential path scores only once.
+    std::vector<DesignKey> keys;
+    keys.reserve(n);
+    for (const DesignInputs &in : inputs)
+        keys.push_back(quantizeInputs(in));
+    std::vector<std::uint32_t> first(n);
+    {
+        std::vector<std::uint32_t> table(powerOfTwoAtLeast(2 * n),
+                                         kEmpty);
+        const std::size_t mask = table.size() - 1;
+        for (std::size_t i = 0; i < n; ++i) {
+            std::size_t b = keys[i].hash & mask;
+            while (table[b] != kEmpty &&
+                   (keys[table[b]].hash != keys[i].hash ||
+                    !(keys[table[b]] == keys[i])))
+                b = (b + 1) & mask;
+            if (table[b] == kEmpty)
+                table[b] = static_cast<std::uint32_t>(i);
+            first[i] = table[b];
+        }
     }
 
-    // Pass 2: the misses ride the SoA kernel together — this is the
-    // whole point of chunk-level batching (DESIGN.md §15).
-    std::vector<DesignInputs> miss_inputs;
-    miss_inputs.reserve(pending.size());
-    for (std::size_t i : pending)
-        miss_inputs.push_back(inputs[i]);
-    std::vector<DesignResult> miss_results(pending.size());
-    solveDesignBatch(std::span<const DesignInputs>(miss_inputs),
-                     std::span<DesignResult>(miss_results));
-
-    // Pass 3: insert in batch order, matching the FIFO eviction
-    // order a sequential replay would have produced.
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-        insert(keys[pending[k]], miss_results[k]);
-        results[pending[k]] = std::move(miss_results[k]);
+    // Group the batch by shard (a stable counting sort, so each
+    // shard sees its keys in batch order) and take each shard lock
+    // once per pass instead of once per point.
+    std::array<std::size_t, kShards + 1> bounds{};
+    for (std::size_t i = 0; i < n; ++i)
+        ++bounds[shardOf(keys[i].hash) + 1];
+    for (std::size_t s = 0; s < kShards; ++s)
+        bounds[s + 1] += bounds[s];
+    std::vector<std::uint32_t> by_shard(n);
+    {
+        std::array<std::size_t, kShards> fill{};
+        std::copy_n(bounds.begin(), kShards, fill.begin());
+        for (std::size_t i = 0; i < n; ++i)
+            by_shard[fill[shardOf(keys[i].hash)]++] =
+                static_cast<std::uint32_t>(i);
     }
 
-    // Pass 4: duplicates copy the solved result and replay the hit
-    // the sequential path would have scored against the insert, so
-    // hits + misses advance by exactly the batch size.
-    for (const Duplicate &dup : duplicates) {
-        recordHit(keys[dup.index]);
-        results[dup.index] = results[dup.source];
+    // Pass 2: look the first occurrences up; hits land in the
+    // caller's slot directly.  A repeat replays the hit the
+    // sequential path would score, against the cached entry or the
+    // fresh insert of its first occurrence alike.
+    std::vector<unsigned char> missed(n, 0);
+    std::size_t miss_count = 0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+        if (bounds[s] == bounds[s + 1])
+            continue;
+        Shard &shard = shards_[s];
+        util::MutexLock lock(shard.mutex);
+        for (std::size_t k = bounds[s]; k < bounds[s + 1]; ++k) {
+            const std::uint32_t i = by_shard[k];
+            if (first[i] != i) {
+                ++shard.counters.hits;
+                continue;
+            }
+            if (const Slot *slot = shard.find(keys[i], keys[i].hash)) {
+                ++shard.counters.hits;
+                results[i] = slot->result;
+            } else {
+                ++shard.counters.misses;
+                missed[i] = 1;
+                ++miss_count;
+            }
+        }
     }
-}
 
-void
-MemoCache::recordHit(const DesignKey &key)
-{
-    const std::size_t hash = DesignKeyHash{}(key);
-    Shard &shard = shardFor(key, hash);
-    util::MutexLock lock(shard.mutex);
-    ++shard.counters.hits;
+    // Pass 3: the misses ride the SoA kernel together — the whole
+    // point of chunk-level batching (DESIGN.md §15).  All-miss,
+    // no-duplicate batches — every cold chunk of a real sweep — skip
+    // the gather: the kernel reads and writes the caller's storage.
+    if (miss_count == n) {
+        solveDesignBatch(inputs, results);
+    } else if (miss_count > 0) {
+        std::vector<DesignInputs> miss_inputs;
+        miss_inputs.reserve(miss_count);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (missed[i])
+                miss_inputs.push_back(inputs[i]);
+        }
+        std::vector<DesignResult> miss_results(miss_count);
+        solveDesignBatch(std::span<const DesignInputs>(miss_inputs),
+                         std::span<DesignResult>(miss_results));
+        for (std::size_t i = 0, k = 0; i < n; ++i) {
+            if (missed[i])
+                results[i] = miss_results[k++];
+        }
+    }
+
+    // Pass 4: insert each shard's misses in batch order — the FIFO
+    // eviction order a sequential replay would produce — after
+    // sizing its index once for all of them.
+    for (std::size_t s = 0; miss_count > 0 && s < kShards; ++s) {
+        std::size_t shard_misses = 0;
+        for (std::size_t k = bounds[s]; k < bounds[s + 1]; ++k)
+            shard_misses += missed[by_shard[k]];
+        if (shard_misses == 0)
+            continue;
+        Shard &shard = shards_[s];
+        util::MutexLock lock(shard.mutex);
+        shard.growIndex(shard.size + shard_misses, shardCapacity_);
+        for (std::size_t k = bounds[s]; k < bounds[s + 1]; ++k) {
+            const std::uint32_t i = by_shard[k];
+            if (missed[i])
+                shard.insert(keys[i], keys[i].hash, results[i],
+                             shardCapacity_);
+        }
+    }
+
+    // Repeats copy their first occurrence's result.
+    for (std::size_t i = 0; i < n; ++i) {
+        if (first[i] != i)
+            results[i] = results[first[i]];
+    }
 }
 
 CacheCounters
@@ -296,7 +432,7 @@ MemoCache::size() const
     std::size_t total = 0;
     for (const auto &shard : shards_) {
         util::MutexLock lock(shard.mutex);
-        total += shard.entries.size();
+        total += shard.size;
     }
     return total;
 }
@@ -304,10 +440,16 @@ MemoCache::size() const
 void
 MemoCache::clear()
 {
+    // Storage stays reserved: a cleared cache refills without
+    // regrowing.  Counters are monotonic and survive.
     for (auto &shard : shards_) {
         util::MutexLock lock(shard.mutex);
-        shard.entries.clear();
-        shard.order.clear();
+        for (std::vector<Slot> &block : shard.blocks)
+            block.clear();
+        shard.size = 0;
+        shard.head = 0;
+        std::fill(shard.index.begin(), shard.index.end(),
+                  IndexEntry{kEmpty, 0});
     }
 }
 

@@ -12,12 +12,19 @@
  * step far coarser than the quantum — can never alias.
  *
  * Sharding: the key hash picks one of `kShards` independently locked
- * maps, so concurrent workers rarely contend.  Each shard evicts its
- * oldest entry (FIFO) at capacity.  Hit/miss/eviction counters live
- * per shard under the shard mutex; `counters()` locks every shard at
- * once, so the triple it returns is one consistent snapshot — a hit
- * recorded concurrently can never appear without the insert that
- * preceded it (no torn counter triples).
+ * shards, so concurrent workers rarely contend.  Each shard is flat
+ * storage: a FIFO ring of `{key, result}` slots, held in fixed-size
+ * blocks allocated as it fills, that overwrites its oldest slot once
+ * it holds the shard's capacity, plus an open-addressing index from
+ * key hash to ring position.  Keys and results are trivially
+ * copyable, so an insert is one plain copy and a hit another — no
+ * per-entry heap node, and nothing is reserved for the full capacity
+ * until entries arrive.
+ * Hit/miss/eviction counters live per shard under the shard mutex;
+ * `counters()` locks every shard at once, so the triple it returns is
+ * one consistent snapshot — a hit recorded concurrently can never
+ * appear without the insert that preceded it (no torn counter
+ * triples).
  */
 
 #ifndef DRONEDSE_ENGINE_MEMO_CACHE_HH
@@ -26,11 +33,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
-#include <string>
-#include <unordered_map>
+#include <type_traits>
+#include <vector>
 
 #include "dse/design_point.hh"
 #include "util/thread_annotations.hh"
@@ -42,7 +48,9 @@ namespace dronedse::engine {
  * Dimensioned fields are stored as integer multiples of 1e-6 of
  * their own unit (micro-grams, micro-mAh, ...), enums as integers,
  * and the board name verbatim (two boards with equal physics but
- * different names must not share a cached result echo).
+ * different names must not share a cached result echo).  Trivially
+ * copyable: the name is stored inline, so keys copy into the cache
+ * ring and the per-batch key array without touching the heap.
  */
 struct DesignKey
 {
@@ -59,10 +67,10 @@ struct DesignKey
     int escClass = 0;
     int boardClass = 0;
     int activity = 0;
-    std::string boardName;
+    BoardName boardName;
     /**
      * Hash of the fields above, computed once by `quantizeInputs`.
-     * Every map probe, shard pick, and batch-duplicate check reuses
+     * Every index probe, shard pick, and batch-duplicate check reuses
      * it instead of re-hashing the key (the cold path hashes each
      * key exactly once per batch).  Not part of the key's identity.
      */
@@ -86,19 +94,13 @@ struct DesignKey
     }
 };
 
+static_assert(std::is_trivially_copyable_v<DesignKey>);
+
 /** Quantize a full input set onto the cache grid (fills `hash`). */
 DesignKey quantizeInputs(const DesignInputs &inputs);
 
 /** Word-wise FNV-1a over the key fields, avalanche-finalized. */
 std::size_t hashKey(const DesignKey &key);
-
-struct DesignKeyHash
-{
-    std::size_t operator()(const DesignKey &key) const
-    {
-        return key.hash != 0 ? key.hash : hashKey(key);
-    }
-};
 
 /** Monotonic hit/miss/eviction counters of one cache. */
 struct CacheCounters
@@ -154,7 +156,9 @@ class MemoCache
      * capacity — smaller than one batch's unique-key footprint in a
      * single shard — can the hit/miss split differ from a strictly
      * sequential replay, because the sequential path may re-miss a
-     * key it evicted mid-batch.)
+     * key it evicted mid-batch.)  Lookups and inserts take each
+     * shard's lock once per batch, and a cold batch allocates
+     * per shard and per batch, never per point.
      */
     void solveBatch(std::span<const DesignInputs> inputs,
                     std::span<DesignResult> results);
@@ -167,24 +171,90 @@ class MemoCache
      */
     CacheCounters counters() const;
     std::size_t size() const;
+    /**
+     * Drop every entry; storage stays allocated for the refill and
+     * the counters (monotonic) are kept.
+     */
     void clear();
 
+    /** The shard a key with this hash lives in (FIFO is per shard). */
+    static std::size_t shardOf(std::size_t hash);
+
   private:
+    /** One cached entry: the key it was solved for and its result. */
+    struct Slot
+    {
+        DesignKey key;
+        DesignResult result;
+    };
+
+    /**
+     * One bucket of the shard index: the ring position of an entry
+     * and the low 32 bits of its key hash (its home bucket, and a
+     * cheap reject before the full key compare).
+     */
+    struct IndexEntry
+    {
+        std::uint32_t pos;
+        std::uint32_t hash;
+    };
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+    /**
+     * Ring slots per storage block (~66 KB).  Blocks are allocated
+     * as the ring fills and never move, so growing a shard copies
+     * no entries.
+     */
+    static constexpr std::size_t kBlockShift = 7;
+    static constexpr std::size_t kBlockSlots = std::size_t{1}
+                                               << kBlockShift;
+
     struct Shard
     {
         mutable util::Mutex mutex;
-        std::unordered_map<DesignKey, DesignResult, DesignKeyHash>
-            entries DDSE_GUARDED_BY(mutex);
-        /** Insertion order for FIFO eviction. */
-        std::deque<DesignKey> order DDSE_GUARDED_BY(mutex);
+        /**
+         * The FIFO ring: position `p` lives in
+         * `blocks[p / kBlockSlots][p % kBlockSlots]`.  Positions fill
+         * in insertion order; once all `capacity` are taken, `head`
+         * is the oldest entry and the next insert overwrites it.
+         */
+        std::vector<std::vector<Slot>> blocks DDSE_GUARDED_BY(mutex);
+        std::size_t size DDSE_GUARDED_BY(mutex) = 0;
+        std::size_t head DDSE_GUARDED_BY(mutex) = 0;
+        /**
+         * Linear-probing index over the ring: a power of two at
+         * least twice the entry count, `kEmpty` buckets free.
+         * Eviction deletes by backward shift (no tombstones).
+         */
+        std::vector<IndexEntry> index DDSE_GUARDED_BY(mutex);
         /** Counters of this shard. */
         CacheCounters counters DDSE_GUARDED_BY(mutex);
+
+        Slot &slot(std::size_t pos) DDSE_REQUIRES(mutex)
+        {
+            return blocks[pos >> kBlockShift][pos & (kBlockSlots - 1)];
+        }
+        const Slot *find(const DesignKey &key, std::size_t hash)
+            DDSE_REQUIRES(mutex);
+        /**
+         * Insert unless present, evicting the oldest entry when the
+         * ring already holds `capacity` entries.
+         */
+        void insert(const DesignKey &key, std::size_t hash,
+                    const DesignResult &result, std::size_t capacity)
+            DDSE_REQUIRES(mutex);
+        /**
+         * Size the index for `needed` entries (capped at `capacity`)
+         * in one step, at least doubling when it grows.
+         */
+        void growIndex(std::size_t needed, std::size_t capacity)
+            DDSE_REQUIRES(mutex);
+        void indexInsert(std::uint32_t pos, std::uint32_t hash)
+            DDSE_REQUIRES(mutex);
+        void indexErase(std::uint32_t pos, std::uint32_t hash)
+            DDSE_REQUIRES(mutex);
     };
 
-    Shard &shardFor(const DesignKey &key, std::size_t hash);
-
-    /** Count the hit an intra-batch duplicate replays (no lookup). */
-    void recordHit(const DesignKey &key);
 
     /** Per-shard entry cap; set once in the ctor, then read-only. */
     std::size_t shardCapacity_;

@@ -387,7 +387,7 @@ frontierCsv(const ExploreResult &result)
                       in.capacityMah.value(), in.twr,
                       in.payloadG.value());
         out += buf;
-        out += in.compute.name;
+        out += in.compute.name.view();
         out += ',';
         out += activityCsvName(in.activity);
         std::snprintf(buf, sizeof buf, ",%.17g,%.17g,%.17g,%.17g\n",

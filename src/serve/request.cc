@@ -171,12 +171,18 @@ parseBoard(const JsonValue &value, ComputeBoardRecord &out,
 {
     if (!value.isObject())
         return invalid(err, "board must be an object");
+    std::string name = out.name.str();
     std::string cls_name;
-    if (!readString(value, "name", out.name, err) ||
+    if (!readString(value, "name", name, err) ||
         !readString(value, "class", cls_name, err) ||
         !readDouble(value, "weight_g", out.weightG, err) ||
         !readDouble(value, "power_w", out.powerW, err))
         return false;
+    if (!BoardName::fits(name))
+        return invalid(err, "board name exceeds " +
+                                std::to_string(BoardName::kCapacity) +
+                                " bytes");
+    out.name = BoardName(name);
     if (!cls_name.empty() &&
         !parseBoardClass(cls_name, out.boardClass, err))
         return false;
@@ -187,7 +193,7 @@ std::string
 serializeBoard(const ComputeBoardRecord &board)
 {
     std::string out = "{";
-    out += "\"name\": " + jsonQuote(board.name);
+    out += "\"name\": " + jsonQuote(board.name.str());
     out += ", \"class\": " +
            jsonQuote(boardClassName(board.boardClass));
     out += ", \"weight_g\": " + jsonNumber(board.weightG);
@@ -407,7 +413,7 @@ serializeResult(const DesignResult &result)
 {
     if (!result.feasible) {
         return "{\"feasible\": false, \"reason\": " +
-               jsonQuote(result.infeasibleReason) + "}";
+               jsonQuote(infeasibilityText(result.infeasibleReason)) + "}";
     }
     std::string out = "{\"feasible\": true";
     out += ", \"total_weight_g\": " +

@@ -276,18 +276,28 @@ void
 Server::writeClient(std::uint64_t conn_id)
 {
     Connection &conn = connections_.at(conn_id);
-    while (!conn.outbuf.empty()) {
+    while (conn.hasPendingOutput()) {
         const ssize_t n =
-            ::write(conn.fd, conn.outbuf.data(), conn.outbuf.size());
+            ::write(conn.fd, conn.outbuf.data() + conn.outSent,
+                    conn.outbuf.size() - conn.outSent);
         if (n > 0) {
-            conn.outbuf.erase(0, static_cast<std::size_t>(n));
+            conn.outSent += static_cast<std::size_t>(n);
             continue;
         }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+            // Compacting only past the halfway mark moves at most
+            // as many bytes as were sent since the last compaction.
+            if (conn.outSent > conn.outbuf.size() / 2) {
+                conn.outbuf.erase(0, conn.outSent);
+                conn.outSent = 0;
+            }
             return;
+        }
         closeClient(conn_id);
         return;
     }
+    conn.outbuf.clear();
+    conn.outSent = 0;
     if (conn.closeAfterFlush)
         closeClient(conn_id);
 }
@@ -315,7 +325,7 @@ Server::eventLoop()
         fds.push_back(pollfd{wakeReadFd_, POLLIN, 0});
         for (const auto &[id, conn] : connections_) {
             short events = POLLIN;
-            if (!conn.outbuf.empty())
+            if (conn.hasPendingOutput())
                 events |= POLLOUT;
             fds.push_back(pollfd{conn.fd, events, 0});
             fd_conn_ids.push_back(id);
@@ -356,7 +366,7 @@ Server::eventLoop()
             if (fds[i].revents & (POLLOUT | POLLHUP)) {
                 if (fds[i].revents & POLLOUT)
                     writeClient(conn_id);
-                else if (connections_.at(conn_id).outbuf.empty())
+                else if (!connections_.at(conn_id).hasPendingOutput())
                     closeClient(conn_id);
             }
         }
@@ -370,7 +380,7 @@ Server::eventLoop()
             ++it; // writeClient may erase the current entry
             auto current = connections_.find(conn_id);
             if (current != connections_.end() &&
-                !current->second.outbuf.empty())
+                current->second.hasPendingOutput())
                 writeClient(conn_id);
         }
     }

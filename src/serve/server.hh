@@ -81,9 +81,19 @@ class Server
     {
         int fd = -1;
         std::string inbuf;
+        /** Replies not yet fully written, from `outSent` on. */
         std::string outbuf;
+        /**
+         * Bytes of `outbuf` already written.  Partial writes advance
+         * it instead of erasing the front (which made a large reply
+         * written in small pieces quadratic); the buffer is compacted
+         * once it drains or the sent prefix passes half of it.
+         */
+        std::size_t outSent = 0;
         /** Close once outbuf drains (protocol violation seen). */
         bool closeAfterFlush = false;
+
+        bool hasPendingOutput() const { return outSent < outbuf.size(); }
     };
 
     void eventLoop();

@@ -88,7 +88,8 @@ TEST(BatchProperties, MixedBatchPremises)
     const std::vector<DesignInputs> inputs = mixedBatch();
     std::vector<std::string> reasons;
     for (const auto &in : inputs)
-        reasons.push_back(solveDesign(in).infeasibleReason);
+        reasons.emplace_back(
+            infeasibilityText(solveDesign(in).infeasibleReason));
     EXPECT_NE(std::find(reasons.begin(), reasons.end(), ""),
               reasons.end());
     for (const char *expected :

@@ -21,7 +21,7 @@ medium450()
 TEST(WeightClosure, ConvergesAndAccounts)
 {
     const DesignResult res = solveDesign(medium450());
-    ASSERT_TRUE(res.feasible) << res.infeasibleReason;
+    ASSERT_TRUE(res.feasible) << infeasibilityText(res.infeasibleReason);
 
     // The component breakdown must sum to the total.
     const Quantity<Grams> sum =
@@ -158,7 +158,7 @@ TEST_P(ClosurePerCells, SolvesAcrossCellCounts)
     DesignInputs in = medium450();
     in.cells = GetParam();
     const DesignResult res = solveDesign(in);
-    ASSERT_TRUE(res.feasible) << res.infeasibleReason;
+    ASSERT_TRUE(res.feasible) << infeasibilityText(res.infeasibleReason);
     EXPECT_GT(res.flightTimeMin.value(), 0.0);
     EXPECT_GT(res.totalWeightG, 500.0_g);
     EXPECT_LT(res.totalWeightG, 5000.0_g);

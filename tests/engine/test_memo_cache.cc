@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <span>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "components/compute_board.hh"
@@ -127,6 +130,37 @@ TEST(MemoCache, DistinctBoardNamesDoNotShareAnEntry)
     EXPECT_EQ(cache.solve(a).inputs.compute.name, "Board A");
 }
 
+TEST(MemoCache, EqualHashesStillCompareWholeKeys)
+{
+    // Keys whose hashes collide share a shard and a probe run; a
+    // lookup must still tell them apart, including after the older
+    // one is evicted out from under the run.
+    DesignInputs a = mediumInputs();
+    DesignInputs b = mediumInputs();
+    b.capacityMah = 3100.0_mah;
+    DesignInputs c = mediumInputs();
+    c.capacityMah = 3200.0_mah;
+    const DesignKey key_a = quantizeInputs(a);
+    DesignKey key_b = quantizeInputs(b);
+    DesignKey key_c = quantizeInputs(c);
+    key_b.hash = key_a.hash;
+    key_c.hash = key_a.hash;
+
+    MemoCache cache(MemoCache::kShards * 2);
+    cache.insert(key_a, solveDesign(a));
+    EXPECT_FALSE(cache.lookup(key_b).has_value());
+    cache.insert(key_b, solveDesign(b));
+    EXPECT_EQ(cache.lookup(key_a)->inputs.capacityMah, a.capacityMah);
+    EXPECT_EQ(cache.lookup(key_b)->inputs.capacityMah, b.capacityMah);
+
+    // A third colliding key evicts the oldest (a) from the shard.
+    cache.insert(key_c, solveDesign(c));
+    EXPECT_EQ(cache.counters().evictions, 1u);
+    EXPECT_FALSE(cache.lookup(key_a).has_value());
+    EXPECT_EQ(cache.lookup(key_b)->inputs.capacityMah, b.capacityMah);
+    EXPECT_EQ(cache.lookup(key_c)->inputs.capacityMah, c.capacityMah);
+}
+
 TEST(MemoCache, EvictsOldestWhenOverCapacity)
 {
     // Tiny cache: one entry per shard.
@@ -236,6 +270,186 @@ TEST(MemoCache, EvictionStressReconcilesAndReSolvesIdentically)
     EXPECT_EQ(again.flightTimeMin, first.flightTimeMin);
     EXPECT_EQ(again.avgPowerW, first.avgPowerW);
     EXPECT_EQ(again.computePowerW, first.computePowerW);
+}
+
+// The cache, the batch kernel and the engine copy these by value;
+// none of them may own heap memory.
+static_assert(std::is_trivially_copyable_v<DesignInputs>);
+static_assert(std::is_trivially_copyable_v<DesignResult>);
+static_assert(std::is_trivially_copyable_v<DesignKey>);
+
+/**
+ * Reference model of the cache's eviction policy: one FIFO of keys
+ * per shard, capped at the per-shard capacity; re-inserting a
+ * resident key changes nothing.
+ */
+class FifoModel
+{
+  public:
+    explicit FifoModel(std::size_t shard_capacity)
+        : capacity_(shard_capacity), shards_(MemoCache::kShards)
+    {
+    }
+
+    void insert(const DesignKey &key)
+    {
+        std::deque<DesignKey> &fifo = shards_[MemoCache::shardOf(key.hash)];
+        for (const DesignKey &resident : fifo) {
+            if (resident == key)
+                return;
+        }
+        fifo.push_back(key);
+        if (fifo.size() > capacity_) {
+            fifo.pop_front();
+            ++evictions_;
+        }
+    }
+
+    bool holds(const DesignKey &key) const
+    {
+        for (const DesignKey &resident :
+             shards_[MemoCache::shardOf(key.hash)]) {
+            if (resident == key)
+                return true;
+        }
+        return false;
+    }
+
+    std::size_t size() const
+    {
+        std::size_t total = 0;
+        for (const auto &fifo : shards_)
+            total += fifo.size();
+        return total;
+    }
+
+    std::uint64_t evictions() const { return evictions_; }
+
+    void clear()
+    {
+        for (auto &fifo : shards_)
+            fifo.clear();
+    }
+
+  private:
+    std::size_t capacity_;
+    std::vector<std::deque<DesignKey>> shards_;
+    std::uint64_t evictions_ = 0;
+};
+
+/** `count` distinct points, one per capacity step. */
+std::vector<DesignInputs>
+distinctPoints(std::size_t count, double first_mah)
+{
+    std::vector<DesignInputs> points;
+    DesignInputs in = mediumInputs();
+    for (std::size_t i = 0; i < count; ++i) {
+        in.capacityMah = Quantity<MilliampHours>(
+            first_mah + 10.0 * static_cast<double>(i));
+        points.push_back(in);
+    }
+    return points;
+}
+
+/**
+ * Check residency against the model key by key.  Each probe is a
+ * counted lookup, so the expected counter movement is returned.
+ */
+void
+expectMatchesModel(MemoCache &cache, const FifoModel &model,
+                   const std::vector<DesignInputs> &points)
+{
+    ASSERT_EQ(cache.size(), model.size());
+    for (const DesignInputs &in : points) {
+        const DesignKey key = quantizeInputs(in);
+        const auto found = cache.lookup(key);
+        ASSERT_EQ(found.has_value(), model.holds(key))
+            << "capacity " << in.capacityMah.value();
+        if (found) {
+            EXPECT_EQ(found->inputs.capacityMah, in.capacityMah);
+            EXPECT_EQ(found->totalWeightG, solveDesign(in).totalWeightG);
+        }
+    }
+}
+
+TEST(MemoCache, RingWrapsKeepFifoOrderAndCounters)
+{
+    // Four entries per shard and ~25 distinct keys per shard: every
+    // shard's ring wraps several times.  Scalar and batch inserts
+    // are interleaved, and resident keys are re-inserted (a no-op
+    // that must not refresh their age).
+    constexpr std::size_t kPerShard = 4;
+    MemoCache cache(MemoCache::kShards * kPerShard);
+    FifoModel model(kPerShard);
+    const std::vector<DesignInputs> points = distinctPoints(400, 1000.0);
+
+    std::uint64_t misses = 0, hits = 0;
+    for (std::size_t begin = 0; begin < points.size(); begin += 40) {
+        // 20 scalar solves, then a 20-point batch.
+        for (std::size_t i = begin; i < begin + 20; ++i) {
+            const bool resident = model.holds(quantizeInputs(points[i]));
+            cache.solve(points[i]);
+            model.insert(quantizeInputs(points[i]));
+            (resident ? hits : misses) += 1;
+        }
+        const std::span<const DesignInputs> batch(points.data() + begin + 20,
+                                                  20);
+        std::vector<DesignResult> out(batch.size());
+        cache.solveBatch(batch, out);
+        for (const DesignInputs &in : batch) {
+            model.insert(quantizeInputs(in));
+            ++misses;
+        }
+        // Re-solving the newest key is a hit and leaves order alone.
+        cache.solve(points[begin + 39]);
+        ++hits;
+    }
+    CacheCounters counters = cache.counters();
+    EXPECT_EQ(counters.misses, misses);
+    EXPECT_EQ(counters.hits, hits);
+    EXPECT_EQ(counters.evictions, model.evictions());
+    EXPECT_GE(model.evictions(), 5 * MemoCache::kShards * kPerShard);
+    expectMatchesModel(cache, model, points);
+}
+
+TEST(MemoCache, ClearThenReuseStartsFromAnEmptyRing)
+{
+    constexpr std::size_t kPerShard = 3;
+    MemoCache cache(MemoCache::kShards * kPerShard);
+    FifoModel model(kPerShard);
+    const std::vector<DesignInputs> first = distinctPoints(200, 1000.0);
+    for (const DesignInputs &in : first) {
+        cache.solve(in);
+        model.insert(quantizeInputs(in));
+    }
+    const CacheCounters before = cache.counters();
+
+    cache.clear();
+    model.clear();
+    const std::uint64_t model_evictions = model.evictions();
+    EXPECT_EQ(cache.size(), 0u);
+    // Counters are monotonic: clear() keeps them.
+    const CacheCounters cleared = cache.counters();
+    EXPECT_EQ(cleared.hits, before.hits);
+    EXPECT_EQ(cleared.misses, before.misses);
+    EXPECT_EQ(cleared.evictions, before.evictions);
+    for (const DesignInputs &in : first)
+        EXPECT_FALSE(cache.lookup(quantizeInputs(in)).has_value());
+
+    // Refill past capacity with a mix of old and new keys, as a
+    // batch: eviction order restarts from the empty ring.
+    std::vector<DesignInputs> second = distinctPoints(150, 5000.0);
+    second.insert(second.end(), first.begin(), first.begin() + 50);
+    std::vector<DesignResult> out(second.size());
+    cache.solveBatch(second, out);
+    for (const DesignInputs &in : second)
+        model.insert(quantizeInputs(in));
+    EXPECT_EQ(cache.counters().evictions - cleared.evictions,
+              model.evictions() - model_evictions);
+    for (std::size_t i = 0; i < second.size(); ++i)
+        EXPECT_EQ(out[i].totalWeightG, solveDesign(second[i]).totalWeightG);
+    second.insert(second.end(), first.begin(), first.end());
+    expectMatchesModel(cache, model, second);
 }
 
 } // namespace

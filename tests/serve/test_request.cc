@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "components/compute_board.hh"
+#include "dse/weight_closure.hh"
 #include "explore/space.hh"
 #include "serve/service.hh"
 #include "util/rng.hh"
@@ -166,7 +168,8 @@ TEST(ServeRequest, FuzzSerializeParseSerialize)
                     Quantity<Millimeters>(rng.uniform(100.0, 700.0)),
                     Quantity<Inches>(0.0)});
             request.spec.boards = {ComputeBoardRecord{
-                "b" + std::to_string(trial), BoardClass::Improved,
+                BoardName("b" + std::to_string(trial)),
+                BoardClass::Improved,
                 rng.uniform(5.0, 200.0), rng.uniform(0.5, 30.0)}};
             request.spec.cells = {
                 static_cast<int>(rng.uniformInt(1, 6))};
@@ -448,4 +451,77 @@ TEST(ServeRequest, MalformedFrameBattery)
     const std::string ok_reply = service.handleFrame(valid, t);
     EXPECT_NE(ok_reply.find("\"ok\": true"), std::string::npos);
     EXPECT_EQ(service.planner().stats().executed, 1u);
+}
+
+TEST(ServeRequest, InfeasibleRepliesPinTheReasonText)
+{
+    // One real input per verdict; each reply must carry its reason
+    // byte for byte (the text is rendered only at this boundary).
+    DesignInputs cells = designRequest(0).point;
+    cells.cells = 7;
+    DesignInputs invalid = designRequest(0).point;
+    invalid.capacityMah = Quantity<MilliampHours>(0.0);
+    DesignInputs diverged = designRequest(0).point;
+    diverged.payloadG = Quantity<Grams>(200000.0);
+    DesignInputs c_rating = designRequest(0).point;
+    c_rating.cells = 6;
+    c_rating.capacityMah = Quantity<MilliampHours>(100.0);
+    const std::pair<DesignInputs, const char *> cases[] = {
+        {cells, "cell count out of range"},
+        {invalid, "invalid capacity, TWR, or wheelbase"},
+        {diverged, "weight closure diverged"},
+        {c_rating, "battery C-rating cannot supply max draw"},
+    };
+    for (const auto &[inputs, reason] : cases) {
+        EXPECT_EQ(serializeDesignReply(9, solveDesign(inputs)),
+                  std::string("{\"id\": 9, \"ok\": true, \"kind\": "
+                              "\"design\", \"result\": {\"feasible\": "
+                              "false, \"reason\": \"") +
+                      reason + "\"}}");
+    }
+}
+
+TEST(ServeRequest, BoardNameAtTheInlineCapRoundTrips)
+{
+    std::string name;
+    for (std::size_t i = 0; i < BoardName::kCapacity; ++i)
+        name += static_cast<char>('a' + i % 26);
+    Request request = designRequest(12);
+    request.point.compute = ComputeBoardRecord{
+        BoardName(name), BoardClass::Improved, 40.0, 7.0};
+    const std::string frame = serializeRequest(request);
+
+    Request parsed;
+    ErrorReply err;
+    ASSERT_TRUE(parseRequest(frame, parsed, err)) << err.message;
+    EXPECT_EQ(parsed.point.compute.name.str(), name);
+    EXPECT_EQ(serializeRequest(parsed), frame);
+}
+
+TEST(ServeRequest, BoardNameOverTheCapIsATypedError)
+{
+    // One byte over the cap, wherever a board can appear: a typed
+    // invalid_request, never a fatal() or a silently cut name.
+    const std::string board = "{\"name\": \"" +
+                              std::string(BoardName::kCapacity + 1, 'n') +
+                              "\", \"class\": \"improved\", "
+                              "\"weight_g\": 40, \"power_w\": 7}";
+    const std::string frames[] = {
+        "{\"id\": 1, \"kind\": \"design\", \"point\": {\"board\": " +
+            board + "}}",
+        "{\"id\": 2, \"kind\": \"sweep\", \"spec\": {\"boards\": [" +
+            board + "]}}",
+        "{\"id\": 3, \"kind\": \"explore\", \"space\": {\"axes\": "
+        "[{\"axis\": \"board\", \"boards\": [" +
+            board + "]}]}}",
+    };
+    for (const std::string &frame : frames) {
+        Request parsed;
+        ErrorReply err;
+        EXPECT_FALSE(parseRequest(frame, parsed, err)) << frame;
+        EXPECT_EQ(err.code, ErrorCode::InvalidRequest) << frame;
+        EXPECT_NE(err.message.find("board name exceeds 63 bytes"),
+                  std::string::npos)
+            << err.message;
+    }
 }

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "components/compute_board.hh"
 #include "dse/sweep.hh"
 #include "dse/weight_closure.hh"
 #include "engine/pareto.hh"
@@ -272,10 +273,17 @@ namespace {
 class TestClient
 {
   public:
-    explicit TestClient(std::uint16_t port)
+    /** `receive_buffer` > 0 shrinks SO_RCVBUF before connecting. */
+    explicit TestClient(std::uint16_t port, int receive_buffer = 0)
     {
         fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
         EXPECT_GE(fd_, 0);
+        if (receive_buffer > 0) {
+            EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF,
+                                   &receive_buffer,
+                                   sizeof receive_buffer),
+                      0);
+        }
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_port = htons(port);
@@ -294,9 +302,7 @@ class TestClient
 
     std::string roundTrip(const std::string &frame)
     {
-        const std::string wire = frame + "\n";
-        EXPECT_EQ(::write(fd_, wire.data(), wire.size()),
-                  static_cast<ssize_t>(wire.size()));
+        send(frame);
         while (true) {
             const std::size_t newline = buffer_.find('\n');
             if (newline != std::string::npos) {
@@ -310,6 +316,27 @@ class TestClient
                 return buffer_;
             buffer_.append(chunk, static_cast<std::size_t>(n));
         }
+    }
+
+    void send(const std::string &frame)
+    {
+        const std::string wire = frame + "\n";
+        EXPECT_EQ(::write(fd_, wire.data(), wire.size()),
+                  static_cast<ssize_t>(wire.size()));
+    }
+
+    /** Read `size` bytes in reads of at most `piece` bytes. */
+    std::string readPieces(std::size_t size, std::size_t piece)
+    {
+        std::string out;
+        std::vector<char> chunk(piece);
+        while (out.size() < size) {
+            const ssize_t n = ::read(fd_, chunk.data(), chunk.size());
+            if (n <= 0)
+                break;
+            out.append(chunk.data(), static_cast<std::size_t>(n));
+        }
+        return out;
     }
 
   private:
@@ -382,5 +409,58 @@ TEST(ServeServer, ConcurrentClientsGetConsistentReplies)
     for (int c = 0; c < kClients; ++c)
         EXPECT_EQ(failures[static_cast<std::size_t>(c)], 0)
             << "client " << c;
+    server.stop();
+}
+
+TEST(ServeServer, LargeRepliesReadInSmallPiecesArriveIntact)
+{
+    // Sixteen pipelined pareto queries queue ~5.6 MB of replies,
+    // more than a socket send buffer grows to by default (4 MB), for
+    // a client with a tiny receive window that reads a few bytes at
+    // a time: the server
+    // goes through many partial writes and compactions of its output
+    // buffer, and every reply must still arrive byte for byte.
+    ServerOptions options;
+    options.service.engine.threads = 2;
+    options.workers = 1;
+    Server server{options};
+    const std::uint16_t port = server.start();
+
+    Request request;
+    request.kind = QueryKind::Pareto;
+    request.spec.boards = computeBoardTable();
+    request.spec.cells = {1, 2, 3, 4, 5, 6};
+    request.spec.capacityLoMah = Quantity<MilliampHours>(500.0);
+    request.spec.capacityHiMah = Quantity<MilliampHours>(8000.0);
+    request.spec.capacityStepMah = Quantity<MilliampHours>(50.0);
+    const std::vector<DesignResult> points =
+        runSweepSerial(request.spec);
+    const std::vector<std::size_t> frontier =
+        engine::paretoFrontier(points);
+
+    TestClient client{port, /*receive_buffer=*/4096};
+    std::vector<std::string> expected;
+    std::size_t total = 0;
+    for (std::uint64_t id = 41; id < 57; ++id) {
+        request.id = id;
+        expected.push_back(serializeParetoReply(id, points, frontier));
+        total += expected.back().size() + 1;
+        client.send(serializeRequest(request));
+    }
+    ASSERT_GT(expected.front().size(), 300000u);
+
+    const std::string got = client.readPieces(total, 7);
+    ASSERT_EQ(got.size(), total);
+    // Replies may complete out of request order; compare them whole.
+    std::vector<std::string> replies;
+    for (std::size_t begin = 0; begin < got.size();) {
+        const std::size_t end = got.find('\n', begin);
+        ASSERT_NE(end, std::string::npos);
+        replies.push_back(got.substr(begin, end - begin));
+        begin = end + 1;
+    }
+    std::sort(replies.begin(), replies.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_TRUE(replies == expected);
     server.stop();
 }
