@@ -3,9 +3,9 @@
  * Sweep-engine throughput bench: serial reference vs `SweepEngine`
  * at 1/2/4/8 threads on the Figure 10 footprint grids (all three
  * size classes, both chips, both activities, cells 1-6), plus a
- * cold-cache batch-vs-scalar series (SoA `solveDesignBatch` kernel
- * vs per-point `solveDesign`) that measures the raw-compute win the
- * memo cache would otherwise mask.
+ * raw batch-vs-scalar row (the SoA `solveDesignBatch` kernel vs a
+ * `solveDesign` loop, memo cache bypassed) that measures the
+ * raw-compute win the cache would otherwise mask.
  *
  * Emits machine-readable results — points/s, cache hit rates,
  * speedups, a serial-vs-engine CSV identity check, and the span
@@ -235,113 +235,44 @@ main(int argc, char **argv)
     }
     json += "]";
 
-    // Batch-vs-scalar, cold cache: the same grids through the same
-    // engine with only `batchSolve` toggled, clearCache() before
-    // every timed pass so each one measures raw solves — the SoA
-    // kernel against one `solveDesign` per point — rather than memo
-    // hits.  This is the series that shows the kernel's raw-compute
-    // win; everything above mixes in cache effects.
-    std::printf("\n--- batch vs scalar, cold cache (best of %d) ---\n",
+    // Raw batch-vs-scalar, cold: a `solveDesign` loop against
+    // `solveDesignBatch` with the memo cache bypassed outright — no
+    // quantization, no lookups, no inserts — so the number is the SoA
+    // kernel's compute win, which everything above mixes with cache
+    // effects.
+    std::printf("\n--- batch vs scalar, cold (best of %d) ---\n",
                 cold_reps);
+    std::vector<DesignInputs> flat_grid;
+    for (const auto &spec : specs) {
+        const std::vector<DesignInputs> grid = expandGrid(spec);
+        flat_grid.insert(flat_grid.end(), grid.begin(), grid.end());
+    }
+    std::vector<DesignResult> flat_out(flat_grid.size());
+    double raw_scalar = 1e300, raw_batch = 1e300;
+    for (int rep = 0; rep < cold_reps; ++rep) {
+        auto start = std::chrono::steady_clock::now();
+        for (std::size_t i = 0; i < flat_grid.size(); ++i)
+            flat_out[i] = solveDesign(flat_grid[i]);
+        raw_scalar = std::min(raw_scalar, now_seconds_since(start));
+        start = std::chrono::steady_clock::now();
+        solveDesignBatch(std::span<const DesignInputs>(flat_grid),
+                         std::span<DesignResult>(flat_out));
+        raw_batch = std::min(raw_batch, now_seconds_since(start));
+    }
+    const double raw_scalar_pps =
+        static_cast<double>(flat_grid.size()) / raw_scalar;
+    const double raw_batch_pps =
+        static_cast<double>(flat_grid.size()) / raw_batch;
+    std::printf("raw kernel (no cache)   scalar %9.0f points/s   "
+                "batch %9.0f points/s   speedup %.2fx\n",
+                raw_scalar_pps, raw_batch_pps, raw_scalar / raw_batch);
     json += ", \"batch_vs_scalar\": {\"cold_cache\": true";
     json += ", \"reps\": " + std::to_string(cold_reps);
-
-    // Raw kernel series: `solveDesign` loop vs `solveDesignBatch`
-    // with the memo cache bypassed outright — no quantization, no
-    // lookups, no inserts — so the number is the SoA kernel's
-    // compute win and nothing else.
-    {
-        std::vector<DesignInputs> flat_grid;
-        for (const auto &spec : specs) {
-            const std::vector<DesignInputs> grid = expandGrid(spec);
-            flat_grid.insert(flat_grid.end(), grid.begin(),
-                             grid.end());
-        }
-        std::vector<DesignResult> flat_out(flat_grid.size());
-        double raw_scalar = 1e300, raw_batch = 1e300;
-        for (int rep = 0; rep < cold_reps; ++rep) {
-            auto start = std::chrono::steady_clock::now();
-            for (std::size_t i = 0; i < flat_grid.size(); ++i)
-                flat_out[i] = solveDesign(flat_grid[i]);
-            raw_scalar =
-                std::min(raw_scalar, now_seconds_since(start));
-            start = std::chrono::steady_clock::now();
-            solveDesignBatch(
-                std::span<const DesignInputs>(flat_grid),
-                std::span<DesignResult>(flat_out));
-            raw_batch = std::min(raw_batch, now_seconds_since(start));
-        }
-        const double raw_scalar_pps =
-            static_cast<double>(flat_grid.size()) / raw_scalar;
-        const double raw_batch_pps =
-            static_cast<double>(flat_grid.size()) / raw_batch;
-        std::printf("raw kernel (no cache)   scalar %9.0f points/s   "
-                    "batch %9.0f points/s   speedup %.2fx\n",
-                    raw_scalar_pps, raw_batch_pps,
-                    raw_scalar / raw_batch);
-        json += ", \"raw_kernel\": {\"scalar_points_per_second\": " +
-                num(raw_scalar_pps);
-        json +=
-            ", \"batch_points_per_second\": " + num(raw_batch_pps);
-        json += ", \"batch_speedup\": " +
-                num(raw_scalar / raw_batch) + "}";
-    }
-
-    json += ", \"series\": [";
-    bool first_bvs = true;
-    for (int threads : {1, 4}) {
-        double scalar_seconds = 1e300, batch_seconds = 1e300;
-        std::string scalar_csv_out, batch_csv_out;
-        for (const bool batch : {false, true}) {
-            engine::SweepEngine eng{engine::EngineOptions{
-                .threads = threads, .batchSolve = batch}};
-            for (int rep = 0; rep < cold_reps; ++rep) {
-                eng.clearCache();
-                std::vector<engine::SweepResult> runs;
-                const auto start = std::chrono::steady_clock::now();
-                for (const auto &spec : specs)
-                    runs.push_back(eng.run(spec));
-                const double seconds = now_seconds_since(start);
-                std::string rep_csv;
-                for (const auto &run : runs)
-                    rep_csv += feasibleCsv(run.points);
-                if (batch) {
-                    batch_seconds = std::min(batch_seconds, seconds);
-                    batch_csv_out = std::move(rep_csv);
-                } else {
-                    scalar_seconds = std::min(scalar_seconds, seconds);
-                    scalar_csv_out = std::move(rep_csv);
-                }
-            }
-        }
-        const bool identical = batch_csv_out == scalar_csv_out &&
-                               batch_csv_out == serial_csv;
-        const double scalar_pps =
-            static_cast<double>(grid_points) / scalar_seconds;
-        const double batch_pps =
-            static_cast<double>(grid_points) / batch_seconds;
-        const double speedup = scalar_seconds / batch_seconds;
-        std::printf("%2d thr   scalar %9.0f points/s   batch %9.0f "
-                    "points/s   speedup %.2fx   csv %s\n",
-                    threads, scalar_pps, batch_pps, speedup,
-                    identical ? "identical" : "DIVERGED");
-
-        if (!first_bvs)
-            json += ", ";
-        first_bvs = false;
-        json += "{\"threads\": " + std::to_string(threads);
-        json += ", \"scalar\": {\"wall_seconds\": " +
-                num(scalar_seconds);
-        json += ", \"points_per_second\": " + num(scalar_pps) + "}";
-        json +=
-            ", \"batch\": {\"wall_seconds\": " + num(batch_seconds);
-        json += ", \"points_per_second\": " + num(batch_pps) + "}";
-        json += ", \"batch_speedup\": " + num(speedup);
-        json += ", \"csv_identical\": ";
-        json += identical ? "true" : "false";
-        json += "}";
-    }
-    json += "]}";
+    json += ", \"raw_kernel\": {\"scalar_points_per_second\": " +
+            num(raw_scalar_pps);
+    json += ", \"batch_points_per_second\": " + num(raw_batch_pps);
+    json += ", \"batch_speedup\": " + num(raw_scalar / raw_batch) +
+            "}}";
 
     // Tracer overhead: cold sweeps of the 34,080-point reference grid
     // (three per rep, each on a fresh engine so every point is a real

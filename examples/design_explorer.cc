@@ -5,14 +5,11 @@
  * time vs compute capability vs all-up weight.
  *
  * Usage: design_explorer [--jobs N] [--csv PATH] [--trace PATH]
- *                        [--metrics PATH] [--no-batch]
+ *                        [--metrics PATH]
  *   --jobs N       worker threads for the sweep (default: hardware)
  *   --csv PATH     write every feasible design point as CSV
  *   --trace PATH   capture engine spans, write chrome://tracing JSON
  *   --metrics PATH write the obs metrics-registry snapshot as JSON
- *   --no-batch     solve point-by-point instead of through the SoA
- *                  batch kernel (output is bit-identical either way;
- *                  CI diffs the two CSVs to prove it)
  */
 
 #include <cstdio>
@@ -40,7 +37,6 @@ namespace {
 struct Options
 {
     int jobs = 0; // 0 = hardware concurrency
-    bool batchSolve = true;
     std::string csvPath;
     std::string tracePath;
     std::string metricsPath;
@@ -52,8 +48,7 @@ parseArgs(int argc, char **argv)
     Options opts;
     examples::ExampleArgs args(argc, argv, "design_explorer",
                                "[--jobs N] [--csv PATH] "
-                               "[--trace PATH] [--metrics PATH] "
-                               "[--no-batch]");
+                               "[--trace PATH] [--metrics PATH]");
     while (args.next()) {
         if (args.intArg("--jobs", opts.jobs, 1))
             continue;
@@ -63,10 +58,6 @@ parseArgs(int argc, char **argv)
             continue;
         if (args.stringArg("--metrics", opts.metricsPath))
             continue;
-        if (args.flag("--no-batch")) {
-            opts.batchSolve = false;
-            continue;
-        }
         args.unknown();
     }
     return opts;
@@ -83,8 +74,7 @@ main(int argc, char **argv)
 
     std::printf("=== Design explorer: flight time vs compute ===\n\n");
 
-    engine::SweepEngine eng{engine::EngineOptions{
-        .threads = opts.jobs, .batchSolve = opts.batchSolve}};
+    engine::SweepEngine eng{engine::EngineOptions{.threads = opts.jobs}};
 
     // One sweep per size class (their capacity axes differ), every
     // compute board and battery family in each.

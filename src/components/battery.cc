@@ -76,7 +76,13 @@ paperBatteryFit(int cells)
 Quantity<Grams>
 batteryWeightG(int cells, Quantity<MilliampHours> capacity)
 {
-    return Quantity<Grams>(paperBatteryFit(cells).at(capacity.value()));
+    return batteryWeightG(capacity, paperBatteryFit(cells));
+}
+
+Quantity<Grams>
+batteryWeightG(Quantity<MilliampHours> capacity, const LinearFit &fit)
+{
+    return Quantity<Grams>(fit.at(capacity.value()));
 }
 
 Quantity<MilliampHours>

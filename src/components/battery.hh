@@ -71,6 +71,10 @@ LinearFit paperBatteryFit(int cells);
  */
 Quantity<Grams> batteryWeightG(int cells, Quantity<MilliampHours> capacity);
 
+/** Pack weight at the given capacity on a caller-supplied fit. */
+Quantity<Grams> batteryWeightG(Quantity<MilliampHours> capacity,
+                               const LinearFit &fit);
+
 /**
  * Battery capacity reachable at a given pack weight for a cell
  * count (the fit inverted); returns 0 when the weight is below the

@@ -22,7 +22,13 @@ paperEscFit(EscClass esc_class)
 Quantity<Grams>
 escSetWeightG(Quantity<Amperes> max_current, EscClass esc_class)
 {
-    const double w = paperEscFit(esc_class).at(max_current.value());
+    return escSetWeightG(max_current, paperEscFit(esc_class));
+}
+
+Quantity<Grams>
+escSetWeightG(Quantity<Amperes> max_current, const LinearFit &fit)
+{
+    const double w = fit.at(max_current.value());
     // Tiny ESCs bottom out around 10 g for the set of four.
     return Quantity<Grams>(std::max(w, 10.0));
 }

@@ -54,6 +54,10 @@ LinearFit paperEscFit(EscClass esc_class);
 Quantity<Grams> escSetWeightG(Quantity<Amperes> max_current,
                               EscClass esc_class = EscClass::LongFlight);
 
+/** The same ESC-set weight (and 10 g floor) on a caller-supplied fit. */
+Quantity<Grams> escSetWeightG(Quantity<Amperes> max_current,
+                              const LinearFit &fit);
+
 /** Synthesize a catalog of ~40 ESCs scattered around the fits. */
 std::vector<EscRecord> generateEscCatalog(Rng &rng, int per_class = 20);
 

@@ -18,13 +18,12 @@ paperFrameFit()
 }
 
 Quantity<Grams>
-frameWeightG(Quantity<Millimeters> wheelbase)
+frameWeightG(Quantity<Millimeters> wheelbase, const LinearFit &fit)
 {
     const double wheelbase_mm = wheelbase.value();
     if (wheelbase_mm <= 0.0)
         fatal("frameWeightG: wheelbase must be positive");
 
-    const LinearFit fit = paperFrameFit();
     if (wheelbase_mm > 200.0)
         return Quantity<Grams>(fit.at(wheelbase_mm));
 

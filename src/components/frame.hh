@@ -34,10 +34,12 @@ struct FrameRecord
 LinearFit paperFrameFit();
 
 /**
- * Frame weight at a given wheelbase: the published fit above
- * 200 mm, a linear ramp through the paper's 50-200 g band below it.
+ * Frame weight at a given wheelbase: `fit` (the published one by
+ * default) above 200 mm, a linear ramp from 50 g at 50 mm to the
+ * fit's 200 mm value below it (the paper's 50-200 g band).
  */
-Quantity<Grams> frameWeightG(Quantity<Millimeters> wheelbase);
+Quantity<Grams> frameWeightG(Quantity<Millimeters> wheelbase,
+                             const LinearFit &fit = paperFrameFit());
 
 /**
  * Largest propeller diameter a frame of the given wheelbase can

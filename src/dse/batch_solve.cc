@@ -8,7 +8,6 @@
 #include "components/esc.hh"
 #include "components/frame.hh"
 #include "components/propeller.hh"
-#include "dse/weight_closure.hh"
 #include "physics/lipo.hh"
 #include "physics/propeller_aero.hh"
 #include "util/logging.hh"
@@ -19,6 +18,9 @@ namespace dronedse {
 namespace {
 
 constexpr std::size_t kW = kBatchLaneWidth;
+
+/** The survey model of each lane of one block. */
+using LaneModels = std::array<const SurveyModel *, kW>;
 
 /**
  * Per-lane loop-invariant state of one block, structure-of-arrays.
@@ -77,13 +79,14 @@ padLane(BlockState &st, std::size_t l)
 
 /**
  * Scalar prologue of one lane: validation and the thrust-independent
- * weights, via the same component models `solveDesign` calls.
+ * weights, via the same component models (on the lane's survey
+ * fits) `solveDesign` calls.
  * Returns false when the lane is finished before iterating (invalid
  * inputs — result already carries the scalar path's reason).
  */
 bool
-setupLane(const DesignInputs &in, DesignResult &res, BlockState &st,
-          std::size_t l)
+setupLane(const DesignInputs &in, const SurveyModel &model,
+          DesignResult &res, BlockState &st, std::size_t l)
 {
     res = DesignResult{}; // output buffers may be reused across calls
     res.inputs = in;
@@ -103,8 +106,9 @@ setupLane(const DesignInputs &in, DesignResult &res, BlockState &st,
                                       : maxPropDiameterIn(in.wheelbaseMm);
     const Quantity<Volts> voltage = lipoPackVoltage(in.cells);
 
-    res.frameWeightG = frameWeightG(in.wheelbaseMm);
-    res.batteryWeightG = batteryWeightG(in.cells, in.capacityMah);
+    res.frameWeightG = frameWeightG(in.wheelbaseMm, model.frameFit);
+    res.batteryWeightG =
+        batteryWeightG(in.capacityMah, model.batteryFits[in.cells - 1]);
     res.propSetWeightG = propellerSetWeightG(prop);
     res.wiringWeightG = wiringWeightG(res.frameWeightG);
     const Quantity<Grams> fixed_weight =
@@ -126,7 +130,8 @@ setupLane(const DesignInputs &in, DesignResult &res, BlockState &st,
         kThrustCoefficient * kAirDensity * d_m * d_m * d_m * d_m;
     st.volt[l] = voltage.value();
     st.kvDenom[l] = kLoadedRpmFraction * voltage.value();
-    const LinearFit esc_fit = paperEscFit(in.escClass);
+    const LinearFit &esc_fit =
+        model.escFits[static_cast<int>(in.escClass)];
     st.escSlope[l] = esc_fit.slope;
     st.escIntercept[l] = esc_fit.intercept;
     st.lastThrust[l] = 1.0;
@@ -206,14 +211,14 @@ finishLane(const DesignInputs &in, DesignResult &res,
 
 /** One block of up to `kBatchLaneWidth` designs, SoA fixed point. */
 void
-solveBlock(std::span<const DesignInputs> inputs,
+solveBlock(std::span<const DesignInputs> inputs, const LaneModels &models,
            std::span<DesignResult> results)
 {
     BlockState st;
     std::size_t n_active = 0;
     for (std::size_t l = 0; l < kW; ++l) {
         if (l < inputs.size()) {
-            if (setupLane(inputs[l], results[l], st, l))
+            if (setupLane(inputs[l], *models[l], results[l], st, l))
                 ++n_active;
             else
                 st.active[l] = 0;
@@ -281,18 +286,46 @@ solveBlock(std::span<const DesignInputs> inputs,
     }
 }
 
+/** Cut the batch into blocks; `model_of(i)` is input i's model. */
+template <typename ModelOf>
+void
+solveBlocks(std::span<const DesignInputs> inputs,
+            std::span<DesignResult> results, ModelOf model_of)
+{
+    if (inputs.size() != results.size())
+        fatal("solveDesignBatch: inputs/results size mismatch");
+    for (std::size_t begin = 0; begin < inputs.size(); begin += kW) {
+        const std::size_t n = std::min(kW, inputs.size() - begin);
+        LaneModels models{};
+        for (std::size_t l = 0; l < n; ++l)
+            models[l] = &model_of(begin + l);
+        solveBlock(inputs.subspan(begin, n), models,
+                   results.subspan(begin, n));
+    }
+}
+
 } // namespace
 
 void
 solveDesignBatch(std::span<const DesignInputs> inputs,
                  std::span<DesignResult> results)
 {
-    if (inputs.size() != results.size())
-        fatal("solveDesignBatch: inputs/results size mismatch");
-    for (std::size_t begin = 0; begin < inputs.size(); begin += kW) {
-        const std::size_t n = std::min(kW, inputs.size() - begin);
-        solveBlock(inputs.subspan(begin, n), results.subspan(begin, n));
-    }
+    const SurveyModel &paper = SurveyModel::paper();
+    solveBlocks(inputs, results,
+                [&](std::size_t) -> const SurveyModel & { return paper; });
+}
+
+void
+solveDesignBatch(std::span<const DesignInputs> inputs,
+                 std::span<const SurveyModel> models,
+                 std::span<DesignResult> results)
+{
+    if (models.size() != inputs.size())
+        fatal("solveDesignBatch: inputs/models size mismatch");
+    solveBlocks(inputs, results,
+                [&](std::size_t i) -> const SurveyModel & {
+                    return models[i];
+                });
 }
 
 std::vector<DesignResult>

@@ -15,16 +15,24 @@
  * mask; the motor record is materialized once per design, after
  * convergence.
  *
+ * Each lane reads its frame, battery, and ESC fits from its own
+ * `SurveyModel`: sweeps and the engine pass the published model for
+ * every lane, and the risk Monte-Carlo passes one perturbed model
+ * per sample (the same design in every lane).  It is one kernel
+ * either way.
+ *
  * Bit-exactness contract: for every input, the batch result is
- * byte-identical to `solveDesign` — same doubles, same names, same
- * feasibility verdicts and reasons.  The kernel replays the scalar
- * path's exact IEEE operation sequence (same association, divisions
- * kept as divisions, conversion factors taken from the same
- * `Quantity` machinery), which is bit-preserving because the build
- * never enables -ffast-math or FMA contraction.  The scalar solver
- * stays untouched as the oracle; `tests/dse/test_batch_differential.cc`
- * holds the two paths together over reference grids, random clouds,
- * and bisected feasibility boundaries (DESIGN.md §15).
+ * byte-identical to `solveDesign` under the lane's model — same
+ * doubles, same names, same feasibility verdicts and reasons.  The
+ * kernel replays the scalar path's exact IEEE operation sequence
+ * (same association, divisions kept as divisions, conversion factors
+ * taken from the same `Quantity` machinery, the component weights
+ * from the same functions), which is bit-preserving because the
+ * build never enables -ffast-math or FMA contraction.  The scalar solver is the
+ * oracle; `tests/dse/test_batch_differential.cc` holds the two paths
+ * together over reference grids, random clouds, bisected
+ * feasibility boundaries, and perturbed survey models (DESIGN.md
+ * §15).
  */
 
 #ifndef DRONEDSE_DSE_BATCH_SOLVE_HH
@@ -35,6 +43,7 @@
 #include <vector>
 
 #include "dse/design_point.hh"
+#include "dse/weight_closure.hh"
 
 namespace dronedse {
 
@@ -51,10 +60,20 @@ inline constexpr std::size_t kBatchLaneWidth = 8;
 /**
  * Solve `inputs.size()` independent design points into `results`
  * (spans must be equal length; `results[i]` corresponds to
- * `inputs[i]`).  Byte-identical to calling `solveDesign` on each
- * element; see the file comment for the contract.
+ * `inputs[i]`) under the published survey model.  Byte-identical to
+ * calling `solveDesign` on each element; see the file comment for
+ * the contract.
  */
 void solveDesignBatch(std::span<const DesignInputs> inputs,
+                      std::span<DesignResult> results);
+
+/**
+ * The same kernel with a model per lane: `results[i]` is
+ * byte-identical to `solveDesign(inputs[i], models[i])`.  All three
+ * spans must be equal length.
+ */
+void solveDesignBatch(std::span<const DesignInputs> inputs,
+                      std::span<const SurveyModel> models,
                       std::span<DesignResult> results);
 
 /** Convenience overload returning a freshly allocated vector. */

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "components/battery.hh"
+#include "components/esc.hh"
 #include "components/frame.hh"
 #include "components/propeller.hh"
 #include "physics/lipo.hh"
@@ -18,8 +19,23 @@ wiringWeightG(Quantity<Grams> frame_weight)
     return Quantity<Grams>(20.0) + 0.15 * frame_weight;
 }
 
+const SurveyModel &
+SurveyModel::paper()
+{
+    static const SurveyModel model = [] {
+        SurveyModel m;
+        for (int cells = kMinCells; cells <= kMaxCells; ++cells)
+            m.batteryFits[cells - 1] = paperBatteryFit(cells);
+        for (EscClass cls : {EscClass::ShortFlight, EscClass::LongFlight})
+            m.escFits[static_cast<int>(cls)] = paperEscFit(cls);
+        m.frameFit = paperFrameFit();
+        return m;
+    }();
+    return model;
+}
+
 DesignResult
-solveDesign(const DesignInputs &inputs)
+solveDesign(const DesignInputs &inputs, const SurveyModel &model)
 {
     DesignResult res;
     res.inputs = inputs;
@@ -40,8 +56,9 @@ solveDesign(const DesignInputs &inputs)
     const Quantity<Volts> voltage = lipoPackVoltage(inputs.cells);
 
     // Weight components independent of the thrust requirement.
-    res.frameWeightG = frameWeightG(inputs.wheelbaseMm);
-    res.batteryWeightG = batteryWeightG(inputs.cells, inputs.capacityMah);
+    res.frameWeightG = frameWeightG(inputs.wheelbaseMm, model.frameFit);
+    res.batteryWeightG = batteryWeightG(
+        inputs.capacityMah, model.batteryFits[inputs.cells - 1]);
     res.propSetWeightG = propellerSetWeightG(prop);
     res.wiringWeightG = wiringWeightG(res.frameWeightG);
     const Quantity<Grams> fixed_weight =
@@ -51,6 +68,8 @@ solveDesign(const DesignInputs &inputs)
 
     // Equation 1/2 fixed point: motor and ESC weights depend on the
     // thrust requirement, which depends on total weight.
+    const LinearFit &esc_fit =
+        model.escFits[static_cast<int>(inputs.escClass)];
     Quantity<Grams> total = fixed_weight;
     MotorRecord motor;
     Quantity<Grams> esc_w{};
@@ -59,7 +78,7 @@ solveDesign(const DesignInputs &inputs)
         const Quantity<GramsForce> thrust_per_motor =
             weightForce(total) * (inputs.twr / 4.0);
         motor = matchMotor(thrust_per_motor, prop, voltage);
-        esc_w = escSetWeightG(motor.maxCurrent(), inputs.escClass);
+        esc_w = escSetWeightG(motor.maxCurrent(), esc_fit);
         const Quantity<Grams> new_total =
             fixed_weight + 4.0 * motor.weight() + esc_w;
         if (std::fabs((new_total - total).value()) < 0.01) {

@@ -8,12 +8,22 @@
  * weights necessitate a new motor, we redo the previous steps",
  * Section 3.2), then evaluates power, energy, flight time, and the
  * computation footprint.
+ *
+ * The three component-survey fits the closure reads (battery per
+ * cell count, ESC per class, frame) are an argument, `SurveyModel`,
+ * defaulting to the published coefficients.  The uncertainty layer
+ * solves perturbed models through the same function (and the batch
+ * kernel through the same fits), so the nominal and the perturbed
+ * paths are one code path.
  */
 
 #ifndef DRONEDSE_DSE_WEIGHT_CLOSURE_HH
 #define DRONEDSE_DSE_WEIGHT_CLOSURE_HH
 
+#include <array>
+
 #include "dse/design_point.hh"
+#include "util/regression.hh"
 
 namespace dronedse {
 
@@ -30,15 +40,30 @@ inline constexpr double kExtremeKvThreshold = 20000.0;
  */
 Quantity<Grams> wiringWeightG(Quantity<Grams> frame_weight);
 
+/** Every survey-fit coefficient the design solver consumes. */
+struct SurveyModel
+{
+    /** Capacity -> pack weight, indexed by cells - 1 (Figure 7). */
+    std::array<LinearFit, 6> batteryFits;
+    /** Current -> 4x-ESC weight, indexed by EscClass (Figure 8a). */
+    std::array<LinearFit, 2> escFits;
+    /** Wheelbase -> frame weight above 200 mm (Figure 8b). */
+    LinearFit frameFit;
+
+    /** The published coefficient set: one shared, immutable instance. */
+    static const SurveyModel &paper();
+};
+
 /**
- * Resolve a design point: close the weight loop (Equations 1-2),
- * then evaluate average power (Equation 3), usable energy
- * (Equation 4), flight time (Equation 5), and the compute power
- * fraction (Equation 6).
+ * Resolve a design point under `model`: close the weight loop
+ * (Equations 1-2), then evaluate average power (Equation 3), usable
+ * energy (Equation 4), flight time (Equation 5), and the compute
+ * power fraction (Equation 6).
  *
  * Always returns; check DesignResult::feasible.
  */
-DesignResult solveDesign(const DesignInputs &inputs);
+DesignResult solveDesign(const DesignInputs &inputs,
+                         const SurveyModel &model = SurveyModel::paper());
 
 } // namespace dronedse
 

@@ -44,29 +44,8 @@ SweepEngine::run(const SweepSpec &spec)
     SweepResult result;
     result.points.resize(grid.size());
     // Each worker writes only the slots of the range it was handed,
-    // so the reduction is order-independent by construction.  The
-    // batch path hands each chunk to the memo cache whole: misses
-    // ride the SoA kernel together instead of one fixed-point solve
-    // per point.  Chunk boundaries move with the thread count, but
-    // the kernel is blocking-invariant (solve(N) == any partition of
-    // it, per the batch property tests), so the determinism contract
-    // is unchanged.
-    if (options_.batchSolve) {
-        const std::span<const DesignInputs> grid_span(grid);
-        const std::span<DesignResult> points_span(result.points);
-        pool_.parallelForChunks(
-            grid.size(), options_.chunkSize,
-            [&](std::size_t begin, std::size_t end, int) {
-                cache_.solveBatch(
-                    grid_span.subspan(begin, end - begin),
-                    points_span.subspan(begin, end - begin));
-            });
-    } else {
-        pool_.parallelFor(grid.size(), options_.chunkSize,
-                          [&](std::size_t i, int) {
-                              result.points[i] = cache_.solve(grid[i]);
-                          });
-    }
+    // so the reduction is order-independent by construction.
+    solveChunks(grid, result.points);
 
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         if (result.points[i].feasible)
@@ -108,8 +87,6 @@ SweepEngine::run(const SweepSpec &spec)
     registry.counter("engine.cache.misses").add(stats.cache.misses);
     registry.counter("engine.cache.evictions")
         .add(stats.cache.evictions);
-    if (options_.batchSolve)
-        registry.counter("engine.batch.points").add(stats.gridPoints);
     registry.gauge("engine.sweep.points_per_second")
         .set(stats.pointsPerSecond);
     registry
@@ -117,6 +94,22 @@ SweepEngine::run(const SweepSpec &spec)
                    {0.001, 0.01, 0.1, 1.0, 10.0, 100.0})
         .record(stats.wallSeconds);
     return result;
+}
+
+void
+SweepEngine::solveChunks(std::span<const DesignInputs> inputs,
+                         std::span<DesignResult> results)
+{
+    // Each chunk goes to the memo cache whole: its misses ride the
+    // SoA kernel together.  Chunk boundaries move with the thread
+    // count, but the kernel is blocking-invariant (solve(N) == any
+    // partition of it, per the batch property tests).
+    pool_.parallelForChunks(
+        inputs.size(), options_.chunkSize,
+        [&](std::size_t begin, std::size_t end, int) {
+            cache_.solveBatch(inputs.subspan(begin, end - begin),
+                              results.subspan(begin, end - begin));
+        });
 }
 
 DesignResult
@@ -135,21 +128,7 @@ SweepEngine::solvePoints(std::span<const DesignInputs> points)
     util::MutexLock run_lock(runMutex_);
     obs::ScopedSpan span("engine.solve_points", "engine");
     std::vector<DesignResult> results(points.size());
-    if (options_.batchSolve) {
-        const std::span<DesignResult> results_span(results);
-        pool_.parallelForChunks(
-            points.size(), options_.chunkSize,
-            [&](std::size_t begin, std::size_t end, int) {
-                cache_.solveBatch(
-                    points.subspan(begin, end - begin),
-                    results_span.subspan(begin, end - begin));
-            });
-    } else {
-        pool_.parallelFor(points.size(), options_.chunkSize,
-                          [&](std::size_t i, int) {
-                              results[i] = cache_.solve(points[i]);
-                          });
-    }
+    solveChunks(points, results);
     obs::metrics().counter("engine.point_batches").add(1);
     obs::metrics().counter("engine.grid_points").add(points.size());
     return results;

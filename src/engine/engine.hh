@@ -7,12 +7,19 @@
  * the exact Pareto frontier of flight time vs compute capability vs
  * all-up weight, plus a `SweepStats` instrumentation record.
  *
+ * Every sweep and point list is solved one way: each work chunk goes
+ * to the memo cache whole, and its misses ride the SoA batch kernel
+ * (`solveDesignBatch`) together.  The scalar `solveDesign` is the
+ * oracle the tests hold the engine to, and the single-point `solve`.
+ *
  * Determinism contract: `run(spec).points` is element-wise identical
  * to `runSweepSerial(spec)` at any thread count.  This holds because
  * (1) both paths expand the identical `expandGrid` point sequence,
  * (2) each worker writes its result into the slot indexed by grid
- * position, and (3) `solveDesign` is a pure function of its inputs,
- * so a memo hit returns exactly what a fresh solve would.
+ * position, (3) the kernel is byte-identical to `solveDesign` and
+ * blocking-invariant, so chunk boundaries do not matter, and
+ * (4) `solveDesign` is a pure function of its inputs, so a memo hit
+ * returns exactly what a fresh solve would.
  */
 
 #ifndef DRONEDSE_ENGINE_ENGINE_HH
@@ -39,14 +46,6 @@ struct EngineOptions
     std::size_t cacheCapacity = 1 << 20;
     /** Grid indices per work chunk; 0 = ~4 chunks per worker. */
     std::size_t chunkSize = 0;
-    /**
-     * Solve each chunk's cache misses through the SoA batch kernel
-     * (`solveDesignBatch`) instead of one `solveDesign` per point.
-     * Results are bit-identical either way (the differential battery
-     * holds the kernel to the scalar oracle); off is the scalar
-     * reference path for benches and differential tests.
-     */
-    bool batchSolve = true;
 };
 
 /** Everything `run` produces for one spec. */
@@ -120,8 +119,8 @@ class SweepEngine
 
     /**
      * Drop every memoized entry (lifetime counters are kept).  The
-     * cold-cache bench mode resets with this between passes so its
-     * batch-vs-scalar numbers measure raw solves, not cache hits.
+     * cold-cache bench modes reset with this between passes so they
+     * measure raw solves, not cache hits.
      */
     void clearCache() { cache_.clear(); }
 
@@ -137,6 +136,11 @@ class SweepEngine
     }
 
   private:
+    /** Solve `inputs` into `results` on the pool, chunk by chunk. */
+    void solveChunks(std::span<const DesignInputs> inputs,
+                     std::span<DesignResult> results)
+        DDSE_REQUIRES(runMutex_);
+
     EngineOptions options_;
     ThreadPool pool_;
     MemoCache cache_;

@@ -8,23 +8,22 @@
  * the movement propagates through the weight closure into flight
  * time.  This module makes that propagation explicit:
  *
- *   `SurveyModel`        — the full fit-coefficient set the solver
- *                          consumes (battery per cell count, ESC per
- *                          class, frame); `paper()` is the published
- *                          one
  *   `FitScatter`         — per-coefficient standard deviations,
  *                          derived by refitting `replicates`
  *                          independently seeded synthetic catalogs
  *                          and measuring the recovered spread
- *   `solveDesignModel`   — `solveDesign` with the fit coefficients
- *                          as an argument; with `SurveyModel::paper()`
- *                          it is bit-identical to `solveDesign`
- *                          (differential-tested)
- *   `propagateUncertainty` — Monte-Carlo over perturbed models: one
- *                          solve per sampled coefficient set, flight
- *                          time and all-up weight collected into
- *                          exact ECDFs (feasible samples only; the
- *                          feasible fraction is reported separately)
+ *   `perturbSurveyModel` — one Monte-Carlo draw of the fit
+ *                          coefficients around a base `SurveyModel`
+ *                          (dse/weight_closure.hh, the model
+ *                          `solveDesign` and the batch kernel take)
+ *   `propagateUncertainty` — Monte-Carlo over perturbed models: the
+ *                          sampled coefficient sets are solved through
+ *                          the SoA batch kernel in blocks of
+ *                          `kRiskSampleBlock`, one model per lane;
+ *                          flight time and all-up weight of the
+ *                          feasible samples, in draw order, go into
+ *                          exact ECDFs (the feasible fraction is
+ *                          reported separately)
  *
  * Determinism: a fresh seeded `Rng` per call with a fixed draw
  * order, so results are byte-stable and — because every design sees
@@ -36,28 +35,23 @@
 #define DRONEDSE_EXPLORE_UNCERTAINTY_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "dse/design_point.hh"
+#include "dse/weight_closure.hh"
 #include "util/ecdf.hh"
-#include "util/regression.hh"
 #include "util/rng.hh"
 
 namespace dronedse::explore {
 
-/** Every survey-fit coefficient the design solver consumes. */
-struct SurveyModel
-{
-    /** Capacity -> pack weight, indexed by cells - 1 (Figure 7). */
-    std::array<LinearFit, 6> batteryFits;
-    /** Current -> 4x-ESC weight, indexed by EscClass (Figure 8a). */
-    std::array<LinearFit, 2> escFits;
-    /** Wheelbase -> frame weight above 200 mm (Figure 8b). */
-    LinearFit frameFit;
-
-    /** The published coefficient set. */
-    static SurveyModel paper();
-};
+/**
+ * Monte-Carlo samples drawn and solved per batch-kernel call; the
+ * propagation's scratch memory is O(this), not O(samples).  Not part
+ * of the results contract: the draw order and the kernel are
+ * blocking-invariant.
+ */
+inline constexpr std::size_t kRiskSampleBlock = 256;
 
 /** Standard deviation of each fit coefficient under refitting. */
 struct FitScatter
@@ -87,16 +81,6 @@ struct FitScatter
  */
 SurveyModel perturbSurveyModel(const SurveyModel &base,
                                const FitScatter &scatter, Rng &rng);
-
-/**
- * `solveDesign` with the survey fits supplied by the caller instead
- * of baked in.  `solveDesignModel(x, SurveyModel::paper())` is
- * bit-identical to `solveDesign(x)` for every input (the
- * differential battery sweeps whole grids to pin this), so the
- * nominal path and the perturbed path cannot drift apart.
- */
-DesignResult solveDesignModel(const DesignInputs &inputs,
-                              const SurveyModel &model);
 
 /** Monte-Carlo configuration of one propagation run. */
 struct UncertaintyOptions
@@ -135,7 +119,9 @@ struct UncertaintyResult
  * Propagate survey-fit uncertainty through one design point.  The
  * two-argument form derives the scatter itself; the three-argument
  * form reuses a precomputed one (the risk query path derives it
- * once per batch).
+ * once per batch).  Sample for sample the same as drawing each model
+ * with `perturbSurveyModel` and solving it with
+ * `solveDesign(point, model)`.
  */
 UncertaintyResult
 propagateUncertainty(const DesignInputs &point,

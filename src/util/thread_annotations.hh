@@ -35,6 +35,17 @@
 #include <condition_variable>
 #include <mutex>
 
+#if defined(__SANITIZE_THREAD__)
+#define DDSE_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DDSE_TSAN 1
+#endif
+#endif
+#if defined(DDSE_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #if defined(__clang__)
 #define DDSE_THREAD_ANNOTATION(x) __attribute__((x))
 #else
@@ -96,6 +107,12 @@ class DDSE_CAPABILITY("mutex") Mutex
 {
   public:
     Mutex() = default;
+#if defined(DDSE_TSAN)
+    // std::mutex's destructor is trivial, so TSan would never learn
+    // that this mutex died, and a later one at the same address
+    // would inherit its lock-order history (false inversions).
+    ~Mutex() { __tsan_mutex_destroy(&mutex_, 0); }
+#endif
     Mutex(const Mutex &) = delete;
     Mutex &operator=(const Mutex &) = delete;
 

@@ -9,7 +9,9 @@
  *       including infeasible and non-converging corners;
  *   (c) feasibility-boundary points located by bisection, where a
  *       masked lane sits one ULP-scale step from flipping verdicts
- *       and any drift in the iteration would surface first.
+ *       and any drift in the iteration would surface first;
+ *   (d) perturbed survey models, a different one in neighbouring
+ *       lanes, against `solveDesign(x, model)`.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "dse/sweep.hh"
 #include "dse/weight_closure.hh"
 #include "batch_test_util.hh"
+#include "explore/uncertainty.hh"
 #include "util/rng.hh"
 
 using namespace dronedse;
@@ -162,5 +165,58 @@ TEST(BatchDifferential, SpanAndVectorOverloadsAgree)
     for (std::size_t i = 0; i < subset.size(); ++i) {
         SCOPED_TRACE("index " + std::to_string(i));
         expectByteIdentical(from_vector[i], from_span[i]);
+    }
+}
+
+TEST(BatchDifferential, PerturbedSurveyModels)
+{
+    // 64 models drawn the way the risk Monte-Carlo draws them, over
+    // the Medium grid plus edge inputs the grid never hits (rejected
+    // cell count, TWR below 1, a wheelbase on the frame ramp).  The
+    // lane model rotates with the input, so every block mixes models.
+    const explore::FitScatter scatter =
+        explore::FitScatter::fromCatalogs(17, 16);
+    Rng rng(17);
+    std::vector<SurveyModel> models;
+    for (int i = 0; i < 64; ++i)
+        models.push_back(
+            explore::perturbSurveyModel(SurveyModel::paper(), scatter, rng));
+
+    SweepSpec spec = classSweepSpec(classSpec(SizeClass::Medium),
+                                    {1, 2, 3, 4, 5, 6}, 500.0_mah,
+                                    basicChip3W());
+    spec.boards = {basicChip3W(), advancedChip20W()};
+    spec.activities = {FlightActivity::Hovering,
+                       FlightActivity::Maneuvering};
+    std::vector<DesignInputs> points = expandGrid(spec);
+    DesignInputs edge;
+    edge.wheelbaseMm = 450.0_mm;
+    edge.capacityMah = 5000.0_mah;
+    edge.compute = basicChip3W();
+    edge.cells = 9;
+    points.push_back(edge);
+    edge.cells = 3;
+    edge.twr = 0.5;
+    points.push_back(edge);
+    edge.twr = 2.0;
+    edge.wheelbaseMm = 120.0_mm;
+    points.push_back(edge);
+
+    std::vector<DesignInputs> inputs;
+    std::vector<SurveyModel> lane_models;
+    for (std::size_t k = 0; k < models.size(); ++k) {
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            inputs.push_back(points[i]);
+            lane_models.push_back(models[(i + k) % models.size()]);
+        }
+    }
+    std::vector<DesignResult> batch(inputs.size());
+    solveDesignBatch(std::span<const DesignInputs>(inputs),
+                     std::span<const SurveyModel>(lane_models),
+                     std::span<DesignResult>(batch));
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        SCOPED_TRACE("index " + std::to_string(i));
+        expectByteIdentical(solveDesign(inputs[i], lane_models[i]),
+                            batch[i]);
     }
 }

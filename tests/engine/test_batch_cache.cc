@@ -3,8 +3,8 @@
  * Batch path through the engine layer: `MemoCache::solveBatch`
  * counter reconciliation (hits + misses advance by exactly the batch
  * size, duplicates of a missed key score as replayed hits) and
- * `SweepEngine` with `batchSolve` on vs off producing byte-identical
- * sweeps at every thread count.
+ * `SweepEngine` sweeps byte-identical to the serial `solveDesign`
+ * oracle at every thread count.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "components/compute_board.hh"
 #include "engine/engine.hh"
 #include "engine/memo_cache.hh"
+#include "engine/pareto.hh"
 
 #include "../dse/batch_test_util.hh"
 
@@ -160,32 +161,37 @@ TEST(BatchCache, CountersAdvanceByBatchSizeAcrossMixedStreams)
 
 TEST(BatchEngine, BatchAndScalarEnginesAreByteIdentical)
 {
+    // The engine's batch path against the scalar serial oracle: every
+    // point byte for byte, and the feasible and frontier index lists
+    // the oracle's points imply.
     SweepSpec spec = classSweepSpec(classSpec(SizeClass::Medium),
                                     {1, 2, 3, 4, 5, 6}, 250.0_mah,
                                     basicChip3W());
+    const std::vector<DesignResult> oracle = runSweepSerial(spec);
+    std::vector<std::size_t> oracle_feasible;
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+        if (oracle[i].feasible)
+            oracle_feasible.push_back(i);
+    }
+    const std::vector<std::size_t> oracle_frontier =
+        paretoFrontier(oracle);
     for (int threads : {1, 2, 8}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
-        SweepEngine batch_engine{
-            EngineOptions{.threads = threads, .batchSolve = true}};
-        SweepEngine scalar_engine{
-            EngineOptions{.threads = threads, .batchSolve = false}};
-        const SweepResult with_batch = batch_engine.run(spec);
-        const SweepResult with_scalar = scalar_engine.run(spec);
+        SweepEngine engine{EngineOptions{.threads = threads}};
+        const SweepResult run = engine.run(spec);
 
-        ASSERT_EQ(with_batch.points.size(), with_scalar.points.size());
-        for (std::size_t i = 0; i < with_batch.points.size(); ++i) {
+        ASSERT_EQ(run.points.size(), oracle.size());
+        for (std::size_t i = 0; i < oracle.size(); ++i) {
             SCOPED_TRACE("index " + std::to_string(i));
-            expectByteIdentical(with_scalar.points[i],
-                                with_batch.points[i]);
+            expectByteIdentical(oracle[i], run.points[i]);
         }
-        EXPECT_EQ(with_batch.feasible, with_scalar.feasible);
-        EXPECT_EQ(with_batch.frontier, with_scalar.frontier);
+        EXPECT_EQ(run.feasible, oracle_feasible);
+        EXPECT_EQ(run.frontier, oracle_frontier);
 
-        // Both paths account for every grid point in the counters.
-        const SweepStats &bs = with_batch.stats;
-        const SweepStats &ss = with_scalar.stats;
-        EXPECT_EQ(bs.cache.hits + bs.cache.misses, bs.gridPoints);
-        EXPECT_EQ(ss.cache.hits + ss.cache.misses, ss.gridPoints);
+        // The counters account for every grid point.
+        const SweepStats &stats = run.stats;
+        EXPECT_EQ(stats.cache.hits + stats.cache.misses,
+                  stats.gridPoints);
     }
 }
 
@@ -194,13 +200,11 @@ TEST(BatchEngine, ThreadCountsAgreeBitwiseOnTheBatchPath)
     SweepSpec spec = classSweepSpec(classSpec(SizeClass::Small),
                                     {1, 2, 3, 4}, 200.0_mah,
                                     advancedChip20W());
-    SweepEngine reference{
-        EngineOptions{.threads = 1, .batchSolve = true}};
+    SweepEngine reference{EngineOptions{.threads = 1}};
     const SweepResult base = reference.run(spec);
     for (int threads : {2, 8}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
-        SweepEngine engine{
-            EngineOptions{.threads = threads, .batchSolve = true}};
+        SweepEngine engine{EngineOptions{.threads = threads}};
         const SweepResult run = engine.run(spec);
         ASSERT_EQ(run.points.size(), base.points.size());
         for (std::size_t i = 0; i < run.points.size(); ++i) {

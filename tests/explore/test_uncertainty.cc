@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "components/battery.hh"
 #include "components/compute_board.hh"
 #include "components/frame.hh"
-#include "dse/sweep.hh"
 #include "dse/weight_closure.hh"
 #include "explore/gate.hh"
 #include "explore/uncertainty.hh"
@@ -26,60 +27,6 @@ referencePoint()
     in.twr = 2.0;
     in.compute = basicChip3W();
     return in;
-}
-
-void
-expectBitIdentical(const DesignResult &a, const DesignResult &b)
-{
-    ASSERT_EQ(a.feasible, b.feasible);
-    EXPECT_EQ(a.infeasibleReason, b.infeasibleReason);
-    EXPECT_EQ(a.totalWeightG, b.totalWeightG);
-    EXPECT_EQ(a.basicWeightG, b.basicWeightG);
-    EXPECT_EQ(a.frameWeightG, b.frameWeightG);
-    EXPECT_EQ(a.batteryWeightG, b.batteryWeightG);
-    EXPECT_EQ(a.motorSetWeightG, b.motorSetWeightG);
-    EXPECT_EQ(a.escSetWeightG, b.escSetWeightG);
-    EXPECT_EQ(a.propSetWeightG, b.propSetWeightG);
-    EXPECT_EQ(a.wiringWeightG, b.wiringWeightG);
-    EXPECT_EQ(a.motor.kv, b.motor.kv);
-    EXPECT_EQ(a.motorMaxCurrentA, b.motorMaxCurrentA);
-    EXPECT_EQ(a.extremeKv, b.extremeKv);
-    EXPECT_EQ(a.maxPowerW, b.maxPowerW);
-    EXPECT_EQ(a.propulsionPowerW, b.propulsionPowerW);
-    EXPECT_EQ(a.computePowerW, b.computePowerW);
-    EXPECT_EQ(a.avgPowerW, b.avgPowerW);
-    EXPECT_EQ(a.usableEnergyWh, b.usableEnergyWh);
-    EXPECT_EQ(a.flightTimeMin, b.flightTimeMin);
-    EXPECT_EQ(a.computePowerFraction, b.computePowerFraction);
-}
-
-TEST(SurveyModel, PaperModelMatchesSolveDesignBitForBit)
-{
-    // The differential that anchors the whole uncertainty path: at
-    // the published coefficients, the model-parameterized solver is
-    // the solver.  Sweep a grid that crosses feasible, infeasible,
-    // and validation-rejected regions.
-    SweepSpec spec = classSweepSpec(classSpec(SizeClass::Medium),
-                                    {1, 2, 3, 4, 5, 6}, 500.0_mah,
-                                    basicChip3W());
-    spec.boards = {basicChip3W(), advancedChip20W()};
-    spec.activities = {FlightActivity::Hovering,
-                       FlightActivity::Maneuvering};
-    const SurveyModel paper = SurveyModel::paper();
-    for (const DesignInputs &in : expandGrid(spec))
-        expectBitIdentical(solveDesignModel(in, paper),
-                           solveDesign(in));
-
-    // Edge inputs the grid never hits.
-    DesignInputs bad = referencePoint();
-    bad.cells = 9;
-    expectBitIdentical(solveDesignModel(bad, paper), solveDesign(bad));
-    bad = referencePoint();
-    bad.twr = 0.5;
-    expectBitIdentical(solveDesignModel(bad, paper), solveDesign(bad));
-    bad = referencePoint();
-    bad.wheelbaseMm = 120.0_mm; // below the frame-fit boundary
-    expectBitIdentical(solveDesignModel(bad, paper), solveDesign(bad));
 }
 
 TEST(FitScatter, DerivedScatterIsPositiveAndReproducible)
@@ -145,6 +92,88 @@ TEST(Uncertainty, DistributionBracketsTheNominalSolve)
               res.nominal.flightTimeMin.value());
     EXPECT_LT(res.totalWeightG.min(), res.nominal.totalWeightG.value());
     EXPECT_GT(res.totalWeightG.max(), res.nominal.totalWeightG.value());
+}
+
+/** The propagation as a one-sample-at-a-time scalar loop. */
+UncertaintyResult
+scalarPropagation(const DesignInputs &point,
+                  const UncertaintyOptions &options,
+                  const FitScatter &scatter)
+{
+    UncertaintyResult out;
+    Rng rng(options.seed);
+    std::vector<double> flight, weight;
+    for (std::size_t i = 0; i < options.samples; ++i) {
+        const SurveyModel model =
+            perturbSurveyModel(SurveyModel::paper(), scatter, rng);
+        const DesignResult res = solveDesign(point, model);
+        if (!res.feasible)
+            continue;
+        ++out.feasibleSamples;
+        flight.push_back(res.flightTimeMin.value());
+        weight.push_back(res.totalWeightG.value());
+    }
+    if (!flight.empty()) {
+        out.flightTimeMin = Ecdf(std::move(flight));
+        out.totalWeightG = Ecdf(std::move(weight));
+    }
+    return out;
+}
+
+void
+expectSameSamples(const Ecdf &scalar, const Ecdf &blocked)
+{
+    ASSERT_EQ(scalar.size(), blocked.size());
+    if (scalar.empty())
+        return;
+    EXPECT_EQ(std::memcmp(scalar.samples().data(),
+                          blocked.samples().data(),
+                          scalar.size() * sizeof(double)),
+              0);
+}
+
+TEST(Uncertainty, BlockedKernelMatchesScalarLoopSampleForSample)
+{
+    // The Monte-Carlo solves its models through the batch kernel in
+    // blocks; a plain draw-then-solveDesign loop must see the same
+    // feasible samples with the same bytes.  Counts straddle the
+    // lane width and the sample block; the second point sits just
+    // below the 3S C-rating boundary, where most draws fail.
+    const FitScatter scatter = FitScatter::fromCatalogs(17, 16);
+    DesignInputs marginal = referencePoint();
+    marginal.capacityMah = 235.0_mah;
+    for (const bool most_infeasible : {false, true}) {
+        const DesignInputs point =
+            most_infeasible ? marginal : referencePoint();
+        double fraction = 0.0;
+        for (std::size_t samples :
+             {std::size_t{1}, std::size_t{7}, std::size_t{8},
+              std::size_t{9}, kRiskSampleBlock + 1, std::size_t{4096}}) {
+            SCOPED_TRACE(std::to_string(point.capacityMah.value()) +
+                         " mAh, " + std::to_string(samples) +
+                         " samples");
+            UncertaintyOptions options;
+            options.samples = samples;
+            const UncertaintyResult blocked =
+                propagateUncertainty(point, options, scatter);
+            const UncertaintyResult scalar =
+                scalarPropagation(point, options, scatter);
+            EXPECT_EQ(blocked.samples, samples);
+            EXPECT_EQ(blocked.feasibleSamples, scalar.feasibleSamples);
+            expectSameSamples(scalar.flightTimeMin,
+                              blocked.flightTimeMin);
+            expectSameSamples(scalar.totalWeightG, blocked.totalWeightG);
+            fraction = blocked.feasibleFraction();
+        }
+        // Premise, at 4,096 samples: the two points cover both ends
+        // of the verdicts.
+        if (most_infeasible) {
+            EXPECT_GT(fraction, 0.0);
+            EXPECT_LT(fraction, 0.5);
+        } else {
+            EXPECT_GT(fraction, 0.9);
+        }
+    }
 }
 
 TEST(Gates, NameRoundTrips)
